@@ -1,7 +1,8 @@
 //! Front-end profile: what one antenna window's DSP front end costs,
 //! stage by stage — pre-processing (group, circular-average, π-fold,
 //! unwrap), the fused unwrap+OLS raw fit, and the robust
-//! multipath-rejecting fit — comparing the workspace kernels against the
+//! multipath-rejecting fit, split into its Theil–Sen seed and its
+//! reject-refit loop — comparing the workspace kernels against the
 //! frozen pre-rework allocating implementations in [`rfp_dsp::reference`]
 //! (DESIGN.md §6).
 //!
@@ -24,8 +25,9 @@
 //! Polynomial / Libm vs the frozen reference), and the standard window's
 //! table-backend ratio is exported as `standard_preprocess_speedup_p50`
 //! for the perf gate's ≥2× floor. The fit chain — the fused unwrap+OLS
-//! fit plus the robust multipath rejection, the "front end" of Eq. 5 —
-//! carries the earlier rework's algorithmic wins and keeps its own floor.
+//! fit plus the robust multipath rejection (Theil–Sen seed + reject
+//! loop), the "front end" of Eq. 5 — carries the earlier rework's
+//! algorithmic wins and keeps its own floor.
 //!
 //! Writes a `BENCH_frontend.json` snapshot at the repo root (override the
 //! path with `FRONTEND_PROFILE_OUT`); `scripts/bench_gate` regenerates it
@@ -35,8 +37,8 @@
 
 use rfp_bench::report;
 use rfp_dsp::preprocess::{preprocess_reads_with, PreprocessConfig, RawRead};
-use rfp_dsp::robust::{robust_line_fit_with, RobustFitConfig};
-use rfp_dsp::{reference, FrontEndWorkspace};
+use rfp_dsp::robust::{robust_line_fit_seeded, robust_line_fit_with, RobustFitConfig};
+use rfp_dsp::{reference, theil_sen_with, FrontEndWorkspace};
 use rfp_geom::Vec2;
 use rfp_obs::JsonValue;
 use rfp_sim::{Motion, Scene, SimTag};
@@ -210,8 +212,39 @@ fn profile_window(
         fused_p90: fp90,
     });
 
-    // Robust rejection: sorting medians + full refit per round versus
-    // selection medians + downdated sums.
+    // Robust rejection, split in its two kernels. Theil–Sen seed: sorted
+    // slope and offset medians versus the index-filled slope rows and the
+    // integer-key selection.
+    let (ts_rp50, ts_rp90) = time_us(
+        || {
+            black_box(reference::theil_sen(&xs, &ys).expect("fittable"));
+        },
+        warmup,
+        repeats,
+    );
+    let (ts_fp50, ts_fp90) = {
+        let (wxs, wys, fit_ws) = ws.fit_columns();
+        time_us(
+            || {
+                black_box(theil_sen_with(fit_ws, wxs, wys).expect("fittable"));
+            },
+            warmup,
+            repeats,
+        )
+    };
+    stages.push(Stage {
+        name: "theil_sen",
+        ref_p50: ts_rp50,
+        ref_p90: ts_rp90,
+        fused_p50: ts_fp50,
+        fused_p90: ts_fp90,
+    });
+
+    // Reject-refit loop: the reference has no entry point without its
+    // Theil–Sen seed, so its row is the whole robust fit minus the seed
+    // row (p50 from p50s, p90 from p90s). The fused row is timed
+    // directly, seeded with the Theil–Sen slope (the seed's intercept
+    // median and diagnostics, then the rejection rounds).
     let (rp50, rp90) = time_us(
         || {
             black_box(reference::robust_line_fit(&xs, &ys, &robust).expect("fittable"));
@@ -221,18 +254,22 @@ fn profile_window(
     );
     let (fp50, fp90) = {
         let (wxs, wys, fit_ws) = ws.fit_columns();
+        let slope = theil_sen_with(fit_ws, wxs, wys).expect("fittable").slope;
         time_us(
             || {
-                black_box(robust_line_fit_with(fit_ws, wxs, wys, &robust).expect("fittable"));
+                black_box(
+                    robust_line_fit_seeded(fit_ws, wxs, wys, &robust, 0.0, slope)
+                        .expect("fittable"),
+                );
             },
             warmup,
             repeats,
         )
     };
     stages.push(Stage {
-        name: "robust_reject",
-        ref_p50: rp50,
-        ref_p90: rp90,
+        name: "reject_loop",
+        ref_p50: rp50 - ts_rp50,
+        ref_p90: rp90 - ts_rp90,
         fused_p50: fp50,
         fused_p90: fp90,
     });
@@ -310,13 +347,15 @@ fn main() {
                 s.speedup()
             );
         }
-        // The fit chain (unwrap+OLS fit → robust reject) is the rework's
-        // algorithmic target; preprocess is trig-floor-bound on both paths.
-        let chain: Vec<&Stage> =
-            stages.iter().filter(|s| s.name == "unwrap_fit" || s.name == "robust_reject").collect();
+        // The fit chain (unwrap+OLS fit → Theil–Sen seed → reject loop)
+        // is the SoA rework's algorithmic target.
+        let chain: Vec<&Stage> = stages
+            .iter()
+            .filter(|s| matches!(s.name, "unwrap_fit" | "theil_sen" | "reject_loop"))
+            .collect();
         let fit_speedup = chain.iter().map(|s| s.ref_p50).sum::<f64>()
             / chain.iter().map(|s| s.fused_p50).sum::<f64>();
-        println!("  fit chain (unwrap_fit + robust_reject) speedup ×{fit_speedup:.2}");
+        println!("  fit chain (unwrap_fit + theil_sen + reject_loop) speedup ×{fit_speedup:.2}");
         let window_stage = stages.last().expect("window stage");
         if label == "standard" {
             standard_window_speedup = window_stage.speedup();

@@ -301,6 +301,52 @@ mod tests {
         assert!(obs.residual_std < 0.01);
     }
 
+    /// Non-finite phases or frequencies in one window come back as an
+    /// `ExtractError` — never a panic in the median or sort downstream —
+    /// whatever channel, read position or trig backend they hit.
+    #[test]
+    fn non_finite_reads_are_an_error_not_a_panic() {
+        use rfp_dsp::preprocess::PreprocessError;
+        use rfp_dsp::TrigProvider;
+        let scene = Scene::standard_2d();
+        let tag = SimTag::with_seeded_diversity(4)
+            .with_motion(Motion::planar_static(Vec2::new(0.3, 1.6), 0.4));
+        let survey = scene.survey(&tag, 9);
+        let pose = scene.antenna_poses()[0];
+        let clean = &survey.per_antenna[0];
+        assert!(extract_observation(pose, clean, &ExtractConfig::paper()).is_ok());
+        let channel_of = |i: usize| clean[i].channel;
+        for trig in [TrigProvider::Table, TrigProvider::Libm, TrigProvider::Polynomial] {
+            for pi_jumps in [true, false] {
+                let mut config = ExtractConfig::paper();
+                config.preprocess.trig = trig;
+                config.preprocess.correct_pi_jumps = pi_jumps;
+                for at in [0, clean.len() / 2, clean.len() - 1] {
+                    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                        let mut reads = clean.clone();
+                        reads[at].phase = bad;
+                        reads[at].phase_code = None;
+                        assert_eq!(
+                            extract_observation(pose, &reads, &config).unwrap_err(),
+                            ExtractError::Preprocess(PreprocessError::NonFiniteInput {
+                                channel: channel_of(at)
+                            }),
+                            "phase {bad} at read {at}, {trig:?}, pi_jumps={pi_jumps}"
+                        );
+                    }
+                }
+                // A non-finite frequency on a channel's first read is the
+                // channel's frequency: rejected the same way.
+                let mut reads = clean.clone();
+                reads[0].frequency_hz = f64::NAN;
+                assert!(matches!(
+                    extract_observation(pose, &reads, &config),
+                    Err(ExtractError::Preprocess(PreprocessError::NonFiniteInput { .. }))
+                ));
+            }
+        }
+    }
+
     #[test]
     fn intercept_is_wrapped() {
         let scene = clean_scene();

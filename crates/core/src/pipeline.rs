@@ -501,6 +501,34 @@ mod tests {
         ));
     }
 
+    /// One non-finite read drops its antenna through the extraction
+    /// error path instead of panicking; the error is reported as the
+    /// window's first extraction error.
+    #[test]
+    fn non_finite_read_drops_its_antenna() {
+        use crate::model::ExtractError;
+        use rfp_dsp::preprocess::PreprocessError;
+        let scene = Scene::standard_2d();
+        let tag = SimTag::with_seeded_diversity(6)
+            .with_motion(Motion::planar_static(Vec2::new(0.5, 1.5), 0.7));
+        let survey = scene.survey(&tag, 23);
+        let prism = prism_for(&scene);
+        assert!(prism.sense(&survey.per_antenna).is_ok());
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut reads = survey.per_antenna.clone();
+            let channel = reads[1][5].channel;
+            reads[1][5].phase = bad;
+            reads[1][5].phase_code = None;
+            match prism.sense(&reads) {
+                Err(SenseError::TooFewObservations { usable: 2, first_error }) => assert_eq!(
+                    first_error,
+                    Some(ExtractError::Preprocess(PreprocessError::NonFiniteInput { channel }))
+                ),
+                other => panic!("phase {bad}: expected the antenna to drop, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn empty_reads_yield_too_few_observations() {
         let scene = Scene::standard_2d();

@@ -19,19 +19,35 @@ use rfp_core::{RfPrism, SenseWorkspace, WarmStart};
 use rfp_geom::Vec2;
 use rfp_sim::{Motion, Scene, SimTag};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Pass-through allocator that counts alloc/realloc events while armed.
+///
+/// The flag and the counter are per thread, so a pin counts only the
+/// allocations of the thread running it: the default parallel test
+/// harness runs other tests (which allocate freely) at the same time.
+/// Both are `const`-initialised `Cell`s — no lazy initialisation and no
+/// destructor, so touching them from inside the allocator never
+/// allocates or recurses.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation event if this thread is armed.
+fn count_allocation() {
+    // `try_with` fails only while the thread's locals are being torn
+    // down, after every pin on that thread has finished.
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -40,9 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -50,13 +64,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Counts heap allocations performed by `f`.
+/// Counts heap allocations performed by `f` on the calling thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
     let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (out, ALLOCATIONS.load(Ordering::SeqCst))
+    ARMED.with(|a| a.set(false));
+    (out, ALLOCATIONS.with(Cell::get))
 }
 
 /// Real solver observations so the kernels run against the production

@@ -188,8 +188,18 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Result<LineFit, FitError> {
 
 /// [`theil_sen`] against caller-owned scratch: the O(n²) pairwise slopes
 /// land in the workspace's slope buffer and the medians are taken by
-/// in-place selection ([`stats::median_in_place`]) — zero allocations once
-/// the buffers are sized. Returns the same fit as [`theil_sen`].
+/// in-place selection — zero allocations once the buffers are sized.
+/// Returns the same fit as [`theil_sen`].
+///
+/// When `xs` is strictly increasing (the front end's frequency columns
+/// always are) every pair has a positive `dx`, so each row of slopes is
+/// filled by index with no filter — a straight loop the compiler
+/// vectorizes — in the same `(i, j)` order as the filtered loop used
+/// otherwise. The median is selected on order-preserving integer keys
+/// built in place in the slope buffer; a buffer holding a zero or NaN
+/// slope, whose `±0` tie the keys would order differently, is selected
+/// with the float comparator instead. Either way the median's bits are
+/// those of the comparator selection.
 ///
 /// # Errors
 ///
@@ -206,19 +216,76 @@ pub fn theil_sen_with(
         return Err(FitError::TooFewPoints);
     }
     ws.slopes.clear();
-    for i in 0..xs.len() {
-        for j in (i + 1)..xs.len() {
-            let dx = xs[j] - xs[i];
-            if dx.abs() > 0.0 {
-                ws.slopes.push((ys[j] - ys[i]) / dx);
+    if xs.windows(2).all(|w| w[0] < w[1]) {
+        for (i, (&xi, &yi)) in xs.iter().zip(ys).enumerate() {
+            ws.slopes.extend(
+                xs[i + 1..].iter().zip(&ys[i + 1..]).map(|(&xj, &yj)| (yj - yi) / (xj - xi)),
+            );
+        }
+    } else {
+        for i in 0..xs.len() {
+            for j in (i + 1)..xs.len() {
+                let dx = xs[j] - xs[i];
+                if dx.abs() > 0.0 {
+                    ws.slopes.push((ys[j] - ys[i]) / dx);
+                }
             }
         }
     }
     if ws.slopes.is_empty() {
         return Err(FitError::DegenerateX);
     }
-    let slope = stats::median_in_place(&mut ws.slopes).expect("nonempty");
+    let slope = median_of_slopes(&mut ws.slopes);
     theil_sen_from_slope(ws, xs, ys, slope)
+}
+
+/// The sign bit of an `f64`'s bit pattern.
+const SIGN_BIT: u64 = 1 << 63;
+
+/// Maps an `f64` bit pattern to a `u64` whose unsigned order is the
+/// IEEE total order of the floats (negatives reversed below positives).
+#[inline(always)]
+fn order_key(bits: u64) -> u64 {
+    bits ^ ((((bits as i64) >> 63) as u64) | SIGN_BIT)
+}
+
+/// Inverse of [`order_key`].
+#[inline(always)]
+fn from_order_key(key: u64) -> u64 {
+    key ^ ((((!key as i64) >> 63) as u64) | SIGN_BIT)
+}
+
+/// [`stats::median_in_place`] of a nonempty slope buffer, bit-identical,
+/// selected on integer keys.
+///
+/// The keys follow the IEEE total order, which differs from the `f64`
+/// comparator only in ordering `-0.0` below `+0.0` (and in ordering
+/// NaNs, on which the comparator panics). Without zeros and NaNs, equal
+/// slopes have equal bits, so the order statistics — and hence the
+/// median's bits — are the same under either order. The keys are stored
+/// in place (as `f64::from_bits`) and compared as integers, which is
+/// cheaper than the NaN-checking float comparator; a buffer holding a
+/// zero or NaN slope takes the comparator path, where the `±0` tie is
+/// resolved exactly as before.
+fn median_of_slopes(slopes: &mut [f64]) -> f64 {
+    if slopes.iter().any(|&s| s == 0.0 || s.is_nan()) {
+        return stats::median_in_place(slopes).expect("nonempty");
+    }
+    for s in slopes.iter_mut() {
+        *s = f64::from_bits(order_key(s.to_bits()));
+    }
+    let n = slopes.len();
+    let (below, mid, _) =
+        slopes.select_nth_unstable_by(n / 2, |a, b| a.to_bits().cmp(&b.to_bits()));
+    let mid = f64::from_bits(from_order_key(mid.to_bits()));
+    if n % 2 == 1 {
+        mid
+    } else {
+        // The lower central order statistic is the maximum of the left
+        // partition.
+        let lower = below.iter().map(|k| k.to_bits()).max().expect("n ≥ 2");
+        (f64::from_bits(from_order_key(lower)) + mid) / 2.0
+    }
 }
 
 /// Completes a Theil–Sen fit from a precomputed median pairwise `slope`:
@@ -375,6 +442,28 @@ mod tests {
         let fit = ols(&[0.0, 1.0], &[1.0, 3.0]).unwrap();
         let mut buf = [0.0; 3];
         fit.residuals_into(&[0.0, 1.0], &[1.0, 3.0], &mut buf);
+    }
+
+    #[test]
+    fn order_keys_follow_total_order_and_round_trip() {
+        let vals = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -1e-310,
+            -0.0,
+            0.0,
+            1e-310,
+            3.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        for w in vals.windows(2) {
+            assert!(order_key(w[0].to_bits()) < order_key(w[1].to_bits()), "{} < {}", w[0], w[1]);
+        }
+        for v in vals {
+            assert_eq!(from_order_key(order_key(v.to_bits())), v.to_bits());
+        }
     }
 
     #[test]

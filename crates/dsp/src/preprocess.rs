@@ -25,10 +25,10 @@
 //! ([`TrigProvider`], selected per call via [`PreprocessConfig::trig`]):
 //! quantized phase-**code tables** when the reads carry their 12-bit
 //! reader codes (bit-identical to libm by construction), a bounded-error
-//! **polynomial** for continuous synthetic phases, or plain **libm**. The
-//! per-read phasors are computed in flat lane columns (4-wide unrolled)
-//! before a scalar in-order scatter into the per-channel accumulators, so
-//! the trig work autovectorizes while every per-channel sum keeps the
+//! **polynomial** for continuous synthetic phases, or plain **libm**.
+//! Table lookups are fused into the per-read passes; the other backends
+//! fill flat per-read lane columns first (the polynomial 4-wide unrolled,
+//! so it autovectorizes). Either way every per-channel sum keeps the
 //! reference summation order — and hence its bits.
 
 use crate::trig::{self, hit, TrigProvider};
@@ -105,6 +105,12 @@ impl Default for PreprocessConfig {
 pub enum PreprocessError {
     /// No channel had enough reads.
     NoUsableChannels,
+    /// A kept channel's reads carry a NaN/±∞ phase, or its first read a
+    /// non-finite frequency.
+    NonFiniteInput {
+        /// The offending channel.
+        channel: usize,
+    },
 }
 
 impl std::fmt::Display for PreprocessError {
@@ -112,6 +118,9 @@ impl std::fmt::Display for PreprocessError {
         match self {
             PreprocessError::NoUsableChannels => {
                 write!(f, "no channel had enough reads to aggregate")
+            }
+            PreprocessError::NonFiniteInput { channel } => {
+                write!(f, "channel {channel} has a non-finite phase or frequency")
             }
         }
     }
@@ -126,7 +135,9 @@ impl std::error::Error for PreprocessError {}
 /// # Errors
 ///
 /// Returns [`PreprocessError::NoUsableChannels`] when every channel has
-/// fewer than `config.min_reads_per_channel` reads.
+/// fewer than `config.min_reads_per_channel` reads, and
+/// [`PreprocessError::NonFiniteInput`] when a kept channel carries a
+/// non-finite phase or frequency.
 ///
 /// # Example
 ///
@@ -165,107 +176,79 @@ pub fn preprocess_reads(
 /// in steady state (buffer capacities reached) the call performs **zero**
 /// heap allocations.
 ///
-/// Produces bit-identical observations to [`preprocess_reads`] (which
-/// delegates here): the streamed per-channel circular statistics
-/// accumulate in the same read order, and the order-statistic medians and
-/// unstable index sorts reproduce the original stable orderings exactly.
+/// Produces bit-identical observations to the frozen
+/// [`crate::reference::preprocess_reads`]: every per-channel sum is
+/// accumulated in that channel's read order, and the order-statistic
+/// medians and unstable index sorts reproduce the original stable
+/// orderings exactly.
+///
+/// The pass order is:
+///
+/// 1. **Run-wise accumulation.** Reads arrive in channel dwells, so the
+///    pass walks *runs* of consecutive same-channel reads, keeps the run's
+///    count, RSSI sum and phasor sums in registers and writes them back to
+///    the channel's slot once per run. A revisited channel resumes from
+///    its stored slot values, so the adds happen in exactly the per-read
+///    order. The runs are recorded for pass 2.
+/// 2. Per-channel axis, the finiteness check, the frequency sort and (in
+///    π-jump mode) the period-π unwrap of the axes — all O(channels).
+/// 3. **One fused fold + vote pass** (π-jump mode): each read is folded
+///    onto its channel axis for the spread resultant *and* votes on the
+///    global π ambiguity against the unwrapped axis. Both decisions are
+///    branch-free selects, and the table backend picks the base or
+///    π-shifted half of one interleaved table entry by index.
+///
+/// Non-table backends fill per-read phasor lanes first (4-wide unrolled
+/// polynomial, libm, or the sequential recurrence) and feed the same two
+/// passes, so every backend shares one pass order.
 ///
 /// # Errors
 ///
-/// As [`preprocess_reads`].
+/// As [`preprocess_reads`], plus [`PreprocessError::NonFiniteInput`] when
+/// a kept channel's phase resultant or frequency is not finite (a NaN or
+/// infinite phase, or a non-finite frequency on its first read).
 pub fn preprocess_reads_with(
     ws: &mut FrontEndWorkspace,
     reads: &[RawRead],
     config: &PreprocessConfig,
     out: &mut Vec<ChannelObservation>,
 ) -> Result<(), PreprocessError> {
-    use std::f64::consts::{FRAC_PI_2, PI};
+    use std::f64::consts::PI;
 
     ws.reset_channels();
     out.clear();
     let min_reads = config.min_reads_per_channel.max(1);
+    let pi_jumps = config.correct_pi_jumps;
+    // `1.0 · p` is exactly `p`, so one scaled expression serves both
+    // modes without perturbing libm bit-identity.
+    let scale = if pi_jumps { 2.0 } else { 1.0 };
 
-    // Pass 1: per-channel counts, first read, RSSI, and the per-read
-    // phasors — sin/cos of the doubled angle in π-jump mode (the
-    // double-angle trick maps both antipodal clusters onto one) or of
-    // the plain phase otherwise — accumulated into the per-channel
-    // circular sums. Iterating the reads in input order keeps every
-    // per-channel accumulation in that channel's read order — the same
-    // summation order as the per-channel vectors of the reference
-    // implementation, hence bit-identical sums. The slot of each read is
-    // recorded so the fold and vote passes skip the branchy slot lookup.
-    //
-    // The table backend fuses lookup and scatter into this single pass
-    // (a table hit is two loads — staging it through lane columns would
-    // cost more memory traffic than it saves); the polynomial and libm
-    // backends compute the phasors into the flat `read_sin`/`read_cos`
-    // lane columns first (4-wide unrolled chunks the compiler can
-    // autovectorize, and libm calls pipeline better without the
-    // bookkeeping interleaved), then scatter in a scalar pass.
+    // Pass 1: per-channel counts, first read, RSSI, and the circular sums
+    // of the per-read phasors — of the doubled angle in π-jump mode (the
+    // double-angle trick maps both antipodal clusters onto one), of the
+    // plain phase otherwise. The table path counts its libm fallbacks in
+    // a local (kept in a register) and derives its table hits from it.
+    let mut hits = [0u64; 4];
     if config.trig == TrigProvider::Table {
-        let scale = if config.correct_pi_jumps { 2.0 } else { 1.0 };
-        for r in reads.iter() {
-            let s = ws.slot(r.channel);
-            ws.read_slot.push(s as u32);
-            if ws.count[s] == 0 {
-                ws.first_freq[s] = r.frequency_hz;
-                ws.first_phase[s] = r.phase;
+        let t = trig::tables();
+        let mut fallbacks = 0u64;
+        accumulate_runs(ws, reads, |_, r| match r.phase_code {
+            Some(code) if pi_jumps => t.double(code),
+            Some(code) => t.fold(code, false),
+            None => {
+                fallbacks += 1;
+                let x = scale * r.phase;
+                (x.sin(), x.cos())
             }
-            ws.count[s] += 1;
-            ws.sum_rssi[s] += r.rssi_dbm;
-            let (sin, cos) = match r.phase_code {
-                Some(code) => {
-                    ws.trig_hits[hit::TABLE] += 1;
-                    if config.correct_pi_jumps {
-                        trig::table_double_sin_cos(code)
-                    } else {
-                        trig::table_sin_cos(code)
-                    }
-                }
-                None => {
-                    // `1.0 · p` is exactly `p`, so one scaled expression
-                    // serves both modes without perturbing bit-identity.
-                    ws.trig_hits[hit::LIBM] += 1;
-                    let x = scale * r.phase;
-                    (x.sin(), x.cos())
-                }
-            };
-            ws.acc_sin[s] += sin;
-            ws.acc_cos[s] += cos;
-        }
+        });
+        hits[hit::TABLE] += reads.len() as u64 - fallbacks;
+        hits[hit::LIBM] += fallbacks;
     } else {
-        fill_phasors(
-            config.trig,
-            reads,
-            config.correct_pi_jumps,
-            &mut ws.read_sin,
-            &mut ws.read_cos,
-            &mut ws.trig_hits,
-        );
-        // Explicit 4-wide lane unroll over the accumulator scatter: the
-        // phasor lanes are loaded four at a time into named registers
-        // before the per-read bookkeeping, matching the lane width of the
-        // fill above. The four element bodies stay *sequential in index
-        // order*, so per-slot sums accumulate in exactly the scalar
-        // order — bit-identical even when a 4-block hits one slot twice.
-        let n = reads.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let (s0, s1, s2, s3) =
-                (ws.read_sin[i], ws.read_sin[i + 1], ws.read_sin[i + 2], ws.read_sin[i + 3]);
-            let (c0, c1, c2, c3) =
-                (ws.read_cos[i], ws.read_cos[i + 1], ws.read_cos[i + 2], ws.read_cos[i + 3]);
-            scatter_read(ws, &reads[i], s0, c0);
-            scatter_read(ws, &reads[i + 1], s1, c1);
-            scatter_read(ws, &reads[i + 2], s2, c2);
-            scatter_read(ws, &reads[i + 3], s3, c3);
-            i += 4;
-        }
-        while i < n {
-            let (sin, cos) = (ws.read_sin[i], ws.read_cos[i]);
-            scatter_read(ws, &reads[i], sin, cos);
-            i += 1;
-        }
+        let (mut lane_sin, mut lane_cos) =
+            (std::mem::take(&mut ws.read_sin), std::mem::take(&mut ws.read_cos));
+        fill_phasors(config.trig, reads, scale, &mut lane_sin, &mut lane_cos, &mut hits);
+        accumulate_runs(ws, reads, |i, _| (lane_sin[i], lane_cos[i]));
+        (ws.read_sin, ws.read_cos) = (lane_sin, lane_cos);
     }
 
     // Per-slot axis (and, without π correction, the spread too — it comes
@@ -280,7 +263,7 @@ pub fn preprocess_reads_with(
         kept += 1;
         let (sin, cos) = (ws.acc_sin[s], ws.acc_cos[s]);
         let r = (sin * sin + cos * cos).sqrt() / n as f64;
-        if config.correct_pi_jumps {
+        if pi_jumps {
             // circular_mean(2p).unwrap_or(2·p₀) / 2, streamed.
             let doubled_mean = if r < 1e-12 { 2.0 * ws.first_phase[s] } else { sin.atan2(cos) };
             ws.axis[s] = doubled_mean / 2.0;
@@ -288,105 +271,18 @@ pub fn preprocess_reads_with(
             ws.axis[s] = if r < 1e-12 { ws.first_phase[s] } else { sin.atan2(cos) };
             ws.spread[s] = (-2.0 * r.clamp(1e-300, 1.0).ln()).sqrt();
         }
+        // A NaN/±∞ phase poisons the channel's resultant (libm returns NaN
+        // for infinite arguments), so one check per channel catches every
+        // non-finite phase that can reach the output; the frequency check
+        // guards the sort and the line fit.
+        if !(ws.axis[s].is_finite() && ws.first_freq[s].is_finite()) {
+            ws.trig_hits = hits;
+            return Err(PreprocessError::NonFiniteInput { channel: ws.chan[s] });
+        }
     }
     if kept == 0 {
+        ws.trig_hits = hits;
         return Err(PreprocessError::NoUsableChannels);
-    }
-
-    // Pass 2 (π-jump mode): fold every read onto its channel axis and
-    // accumulate the folded resultant for the per-channel spread. Table
-    // hits resolve to the base or π-shifted table by the fold decision,
-    // fused into the scatter; the polynomial and libm backends compute
-    // the folded phasors into the lane columns first, then scatter in
-    // read order (reads of dropped channels contribute `(0, 0)` lanes
-    // into slots whose fold sums are never read, keeping that scatter
-    // branch-free).
-    if config.correct_pi_jumps {
-        if config.trig == TrigProvider::Table {
-            // Fused fold for the table backend: decision, lookup and
-            // accumulation in one pass, in input order (bit-identical
-            // sums, as in pass 1).
-            for (i, r) in reads.iter().enumerate() {
-                let s = ws.read_slot[i] as usize;
-                if !ws.keep[s] {
-                    continue;
-                }
-                let p = r.phase;
-                let shift = wrapped_distance(p, ws.axis[s]) > FRAC_PI_2;
-                let (sin, cos) = match r.phase_code {
-                    Some(code) => {
-                        ws.trig_hits[hit::TABLE] += 1;
-                        if shift {
-                            trig::table_shift_sin_cos(code)
-                        } else {
-                            trig::table_sin_cos(code)
-                        }
-                    }
-                    None => {
-                        ws.trig_hits[hit::LIBM] += 1;
-                        let folded = if shift { p + PI } else { p };
-                        (folded.sin(), folded.cos())
-                    }
-                };
-                ws.fold_sin[s] += sin;
-                ws.fold_cos[s] += cos;
-            }
-        } else {
-            fill_fold_phasors(
-                config.trig,
-                reads,
-                &ws.read_slot,
-                &ws.axis,
-                &ws.keep,
-                &mut ws.read_sin,
-                &mut ws.read_cos,
-                &mut ws.trig_hits,
-            );
-            // Same 4-wide lane unroll as the pass-1 scatter: load four
-            // slot indices and four phasor lanes, then accumulate the
-            // four element bodies sequentially in index order (bit-
-            // identical per-slot sums under intra-block slot collisions).
-            let FrontEndWorkspace {
-                read_slot, read_sin, read_cos, fold_sin, fold_cos, ..
-            } = &mut *ws;
-            let n = reads.len();
-            let mut i = 0;
-            while i + 4 <= n {
-                let (t0, t1, t2, t3) = (
-                    read_slot[i] as usize,
-                    read_slot[i + 1] as usize,
-                    read_slot[i + 2] as usize,
-                    read_slot[i + 3] as usize,
-                );
-                let (s0, s1, s2, s3) =
-                    (read_sin[i], read_sin[i + 1], read_sin[i + 2], read_sin[i + 3]);
-                let (c0, c1, c2, c3) =
-                    (read_cos[i], read_cos[i + 1], read_cos[i + 2], read_cos[i + 3]);
-                fold_sin[t0] += s0;
-                fold_cos[t0] += c0;
-                fold_sin[t1] += s1;
-                fold_cos[t1] += c1;
-                fold_sin[t2] += s2;
-                fold_cos[t2] += c2;
-                fold_sin[t3] += s3;
-                fold_cos[t3] += c3;
-                i += 4;
-            }
-            while i < n {
-                let s = read_slot[i] as usize;
-                fold_sin[s] += read_sin[i];
-                fold_cos[s] += read_cos[i];
-                i += 1;
-            }
-        }
-        for s in 0..ws.slots() {
-            if !ws.keep[s] {
-                continue;
-            }
-            let (sin, cos) = (ws.fold_sin[s], ws.fold_cos[s]);
-            let r = ((sin * sin + cos * cos).sqrt() / ws.count[s] as f64).min(1.0);
-            ws.spread[s] = (-2.0 * r.max(1e-300).ln()).sqrt();
-        }
     }
 
     // Sort the kept slots ascending in frequency. The reference
@@ -401,7 +297,7 @@ pub fn preprocess_reads_with(
         ws.order.sort_unstable_by(|&a, &b| {
             first_freq[a]
                 .partial_cmp(&first_freq[b])
-                .expect("finite frequencies")
+                .expect("kept frequencies are checked finite above")
                 .then_with(|| chan[a].cmp(&chan[b]))
         });
     }
@@ -410,29 +306,50 @@ pub fn preprocess_reads_with(
     // unwrap in place.
     ws.phase_col.clear();
     for &s in &ws.order {
-        ws.phase_col.push(angle::wrap_tau(ws.axis[s]));
+        ws.phase_col.push(wrap_tau(ws.axis[s]));
     }
-    if config.correct_pi_jumps {
+    if pi_jumps {
         // The per-channel axes are only known modulo π: unwrap them with
         // period π into a continuous curve, then resolve the single global
         // π ambiguity by a majority vote over *every* raw read (far more
-        // robust than voting channel by channel).
+        // robust than voting channel by channel). The vote shares the
+        // per-read pass with the fold: the fold depends only on the axis,
+        // the vote only on the unwrapped axis, and both are known now.
         angle::unwrap_in_place_period(&mut ws.phase_col, PI);
         for (k, &s) in ws.order.iter().enumerate() {
             ws.unwrapped[s] = ws.phase_col[k];
         }
-        let mut votes_axis = 0usize;
-        let mut votes_total = 0usize;
-        for (i, r) in reads.iter().enumerate() {
-            let s = ws.read_slot[i] as usize;
-            debug_assert_eq!(ws.slot_if_seen(r.channel), Some(s), "stale read_slot");
+        let (votes_axis, votes_total) = if config.trig == TrigProvider::Table {
+            let t = trig::tables();
+            let mut fallbacks = 0u64;
+            let votes = fold_and_vote(ws, reads, |_, r, shift| match r.phase_code {
+                Some(code) => t.fold(code, shift),
+                None => {
+                    fallbacks += 1;
+                    let p = r.phase;
+                    let folded = if shift { p + PI } else { p };
+                    (folded.sin(), folded.cos())
+                }
+            });
+            // Every read of a kept channel votes and is folded once.
+            hits[hit::TABLE] += votes.1 as u64 - fallbacks;
+            hits[hit::LIBM] += fallbacks;
+            votes
+        } else {
+            let (mut lane_sin, mut lane_cos) =
+                (std::mem::take(&mut ws.read_sin), std::mem::take(&mut ws.read_cos));
+            fill_fold_phasors(config.trig, ws, reads, &mut lane_sin, &mut lane_cos, &mut hits);
+            let votes = fold_and_vote(ws, reads, |i, _, _| (lane_sin[i], lane_cos[i]));
+            (ws.read_sin, ws.read_cos) = (lane_sin, lane_cos);
+            votes
+        };
+        for s in 0..ws.slots() {
             if !ws.keep[s] {
                 continue;
             }
-            votes_total += 1;
-            if wrapped_distance(r.phase, ws.unwrapped[s]) <= FRAC_PI_2 {
-                votes_axis += 1;
-            }
+            let (sin, cos) = (ws.fold_sin[s], ws.fold_cos[s]);
+            let r = ((sin * sin + cos * cos).sqrt() / ws.count[s] as f64).min(1.0);
+            ws.spread[s] = (-2.0 * r.max(1e-300).ln()).sqrt();
         }
         if 2 * votes_axis < votes_total {
             for p in &mut ws.phase_col {
@@ -442,6 +359,7 @@ pub fn preprocess_reads_with(
     } else {
         angle::unwrap_in_place(&mut ws.phase_col);
     }
+    ws.trig_hits = hits;
 
     // Emit the final observations; the same loop feeds the fused
     // unwrap+OLS accumulator and the (freq, phase) fit columns, so the
@@ -463,73 +381,226 @@ pub fn preprocess_reads_with(
     Ok(())
 }
 
-/// `angle::distance(a, b)`, fast-pathed for the per-read hot loops.
+/// Pass 1 over runs of consecutive same-channel reads: the run's read
+/// count, RSSI sum and phasor sums (`phasor(i, read)` for read `i`) live
+/// in registers and are written back to the channel's slot once per run,
+/// and the run is recorded for the fold pass. A revisited channel
+/// resumes from its stored slot values, so every per-slot sum sees the
+/// same adds in the same order as a per-read scatter — bit-identical.
+#[inline(always)]
+fn accumulate_runs(
+    ws: &mut FrontEndWorkspace,
+    reads: &[RawRead],
+    mut phasor: impl FnMut(usize, &RawRead) -> (f64, f64),
+) {
+    let n = reads.len();
+    let mut i = 0;
+    while i < n {
+        let first = &reads[i];
+        let s = ws.slot(first.channel);
+        if ws.count[s] == 0 {
+            ws.first_freq[s] = first.frequency_hz;
+            ws.first_phase[s] = first.phase;
+        }
+        let (mut rssi, mut acc_sin, mut acc_cos) = (ws.sum_rssi[s], ws.acc_sin[s], ws.acc_cos[s]);
+        let start = i;
+        while i < n && reads[i].channel == first.channel {
+            let r = &reads[i];
+            rssi += r.rssi_dbm;
+            let (sin, cos) = phasor(i, r);
+            acc_sin += sin;
+            acc_cos += cos;
+            i += 1;
+        }
+        ws.count[s] += i - start;
+        ws.sum_rssi[s] = rssi;
+        ws.acc_sin[s] = acc_sin;
+        ws.acc_cos[s] = acc_cos;
+        ws.runs.push((i as u32, s as u32));
+    }
+}
+
+/// Reads per decision block of the fold + vote pass: a block's
+/// decisions are computed first in one vectorized loop, then its phasors
+/// are accumulated in read order (a chain of dependent adds the decision
+/// work would otherwise stall behind).
+const DECISION_BLOCK: usize = 64;
+
+/// The fused fold + vote pass of the π-jump mode, over the runs recorded
+/// by [`accumulate_runs`] (runs of dropped channels are skipped whole).
+/// Each read's fold decision (`> π/2` from its channel axis) selects the
+/// phasor `phasor(i, read, shift)` accumulated into the channel's folded
+/// resultant, run-wise in registers as in pass 1; its vote decision
+/// (`≤ π/2` from the unwrapped axis) is counted. Returns
+/// `(votes for the axis, reads voting)`.
+#[inline(always)]
+fn fold_and_vote(
+    ws: &mut FrontEndWorkspace,
+    reads: &[RawRead],
+    mut phasor: impl FnMut(usize, &RawRead, bool) -> (f64, f64),
+) -> (usize, usize) {
+    let FrontEndWorkspace { runs, keep, axis, unwrapped, fold_sin, fold_cos, .. } = &mut *ws;
+    let (mut votes_axis, mut votes_total) = (0usize, 0usize);
+    let mut start = 0usize;
+    for &(end, s) in runs.iter() {
+        let (end, s) = (end as usize, s as usize);
+        if keep[s] {
+            let (a, u) = (axis[s], unwrapped[s]);
+            let (mut fs, mut fc) = (fold_sin[s], fold_cos[s]);
+            let (mut shift, mut vote) = ([false; DECISION_BLOCK], [false; DECISION_BLOCK]);
+            let mut block_start = start;
+            while block_start < end {
+                let block = &reads[block_start..end.min(block_start + DECISION_BLOCK)];
+                block_decisions(block, a, u, &mut shift, &mut vote);
+                for (l, r) in block.iter().enumerate() {
+                    let (sin, cos) = phasor(block_start + l, r, shift[l]);
+                    fs += sin;
+                    fc += cos;
+                    votes_axis += vote[l] as usize;
+                }
+                block_start += block.len();
+            }
+            fold_sin[s] = fs;
+            fold_cos[s] = fc;
+            votes_total += end - start;
+        }
+        start = end;
+    }
+    (votes_axis, votes_total)
+}
+
+/// The two per-read decisions of the fold + vote pass for a block of at
+/// most [`DECISION_BLOCK`] reads of one channel:
+/// `wrapped_distance(p, axis) > π/2` (fold onto the opposite cluster) and
+/// `wrapped_distance(p, unwrapped) ≤ π/2` (vote for the axis).
 ///
-/// `angle::distance` reaches `f64::rem_euclid`, whose `%` is a libm
-/// `fmod` call — the single most expensive operation left in the fold and
-/// vote passes once the trig is table-backed. For `|a - b| < τ` (every
-/// real window: raw phases live in `[0, 2π)` and channel axes in
-/// `(-π, π]`) the `rem_euclid` reduces to at most one add of `τ`, which
-/// this helper replays branch by branch:
+/// The loop evaluates [`wrapped_distance`]'s exact fast path as
+/// straight-line selects with no data-dependent branch (π jumps make each
+/// decision a coin flip, so a branch would mispredict half the time), so
+/// the compiler vectorizes it. A block holding a difference outside the
+/// fast range (NaN, ±∞, huge) is re-decided through [`wrapped_distance`]
+/// itself. Entries past the block's end are unset.
+#[inline(always)]
+fn block_decisions(
+    block: &[RawRead],
+    axis: f64,
+    unwrapped: f64,
+    shift: &mut [bool; DECISION_BLOCK],
+    vote: &mut [bool; DECISION_BLOCK],
+) {
+    use std::f64::consts::FRAC_PI_2;
+    let mut in_range = true;
+    for ((r, s), v) in block.iter().zip(shift.iter_mut()).zip(vote.iter_mut()) {
+        let (da, du) = (r.phase - axis, r.phase - unwrapped);
+        in_range &= (da.abs() < FAST_REDUCE_LIMIT) & (du.abs() < FAST_REDUCE_LIMIT);
+        *s = wrap_fast(reduce_tau(da)) > FRAC_PI_2;
+        *v = wrap_fast(reduce_tau(du)) <= FRAC_PI_2;
+    }
+    if !in_range {
+        for ((r, s), v) in block.iter().zip(shift.iter_mut()).zip(vote.iter_mut()) {
+            *s = wrapped_distance(r.phase, axis) > FRAC_PI_2;
+            *v = wrapped_distance(r.phase, unwrapped) <= FRAC_PI_2;
+        }
+    }
+}
+
+/// Bound on `|a − b|` below which [`wrapped_distance`] reduces by
+/// [`reduce_tau`]; beyond it (and for NaN/±∞) it calls `angle::distance`.
+const FAST_REDUCE_LIMIT: f64 = 4_294_967_296.0;
+
+/// `d − q·τ` for finite `|d| <` [`FAST_REDUCE_LIMIT`], with `q` the
+/// estimated nearest integer to `d/τ` — a remainder in `(-τ, τ)` that is
+/// congruent to `d` and **exact**.
 ///
-/// * `d ∈ [0, τ)`: `fmod(d, τ) = d` exactly, and `rem_euclid` returns it
-///   unchanged — as does the fast path.
-/// * `d ∈ (-τ, 0)`: `fmod(d, τ) = d` exactly (fmod is exact and keeps
-///   the sign), then `rem_euclid` computes the *floating* add `d + τ` —
-///   the identical expression the fast path evaluates, so even when that
-///   add rounds (tiny `|d|` → exactly `τ`) both paths round the same way.
+/// The estimate `d · (1/τ)` is within `2⁻²⁰` of `d/τ` on this range, so
+/// `|d − q·τ| ≤ (½ + 2⁻²⁰)·τ`; that value is a multiple of
+/// `min(ulp(d), ulp(τ))` below `τ` in magnitude, hence representable, and
+/// one fused multiply-add returns it without rounding.
+#[inline(always)]
+fn reduce_tau(d: f64) -> f64 {
+    use std::f64::consts::TAU;
+    let q = (d * (1.0 / TAU)).round_ties_even();
+    (-q).mul_add(TAU, d)
+}
+
+/// `angle::wrap_tau(x)`, bit-identical, without its libm `fmod` for
+/// `|x| < τ` (every channel axis): there `x % τ` is `x` itself, and the
+/// `rem_euclid` add and the `≥ τ` adjustment are replayed verbatim.
+#[inline]
+fn wrap_tau(x: f64) -> f64 {
+    use std::f64::consts::TAU;
+    if x.abs() < TAU {
+        let w = if x < 0.0 { x + TAU } else { x };
+        if w >= TAU {
+            w - TAU
+        } else {
+            w
+        }
+    } else {
+        angle::wrap_tau(x)
+    }
+}
+
+/// `|wrap_pi(d)|` for `d ∈ (-τ, τ)`, replaying `rem_euclid`'s single add
+/// of `τ` and the `wrap_tau`/`wrap_pi` adjustments as selects — see
+/// [`wrapped_distance`].
+#[inline(always)]
+fn wrap_fast(d: f64) -> f64 {
+    use std::f64::consts::{PI, TAU};
+    let w = if d < 0.0 { d + TAU } else { d };
+    let w = if w >= TAU { w - TAU } else { w };
+    let w = if w > PI { w - TAU } else { w };
+    w.abs()
+}
+
+/// `angle::distance(a, b)`, bit-identical, fast-pathed for the per-read
+/// hot loops.
 ///
-/// The subsequent `≥ τ` and `> π` adjustments are copied verbatim from
-/// `wrap_tau`/`wrap_pi`, so the fast path is **bit-identical** to
-/// `angle::distance` on its range; anything else (|d| ≥ τ, NaN) falls
-/// back to the real thing. The frozen reference path keeps calling
+/// `angle::distance` is `|wrap_pi(a − b)|`, which reaches
+/// `f64::rem_euclid`, whose `%` is a libm `fmod` call — the single most
+/// expensive operation left in the fold + vote pass once the trig is
+/// table-backed (the vote compares raw phases against the *unwrapped*
+/// axes, so most of its differences span several turns). With
+/// `f = d % τ` (exact), `rem_euclid` is `f` when `f ≥ 0` and the floating
+/// add `f + τ` otherwise; [`wrap_fast`] replays exactly that on its
+/// argument, followed by the `≥ τ` and `> π` adjustments copied verbatim
+/// from `wrap_tau`/`wrap_pi`.
+///
+/// [`reduce_tau`] gives an exact remainder `r ≡ d (mod τ)` in `(-τ, τ)`,
+/// so `r − f ∈ {−τ, 0, τ}`. When `r = f + τ` (`f < 0`), libm's `f + τ`
+/// is exactly the representable `r`, which `wrap_fast` keeps as is; when
+/// `r = f − τ` (`f ≥ 0`), `wrap_fast` computes `r + τ`, exactly the
+/// representable `f`; when `r = f` both take the same branch, rounding
+/// `f + τ` identically (tiny `|f|` → exactly `τ`). Either way the first
+/// step yields the same value (a zero may differ in sign, which the
+/// comparisons and the final `abs` cannot see).
+///
+/// The fast path is therefore **bit-identical** to `angle::distance` on
+/// its range; anything else (`|d| ≥` [`FAST_REDUCE_LIMIT`], NaN, ±∞)
+/// falls back to the real thing. The frozen reference path keeps calling
 /// `angle::distance`, and the bit-identity property suites compare the
 /// two implementations on every window they generate.
 #[inline(always)]
 pub(crate) fn wrapped_distance(a: f64, b: f64) -> f64 {
-    use std::f64::consts::{PI, TAU};
     let d = a - b;
-    if d > -TAU && d < TAU {
-        let w = if d < 0.0 { d + TAU } else { d };
-        let w = if w >= TAU { w - TAU } else { w };
-        let w = if w > PI { w - TAU } else { w };
-        w.abs()
+    if d.abs() < FAST_REDUCE_LIMIT {
+        wrap_fast(reduce_tau(d))
     } else {
         angle::distance(a, b)
     }
 }
 
-/// One element body of the pass-1 accumulator scatter: slot bookkeeping
-/// plus the circular-sum accumulation of one read's phasor. Kept as a
-/// named `#[inline(always)]` body so the 4-wide unrolled scatter and its
-/// scalar remainder loop are the same code by construction (bit-identity
-/// of the lane-unrolled pass is pinned against
-/// [`crate::reference::preprocess_reads`]).
-#[inline(always)]
-fn scatter_read(ws: &mut FrontEndWorkspace, r: &RawRead, sin: f64, cos: f64) {
-    let s = ws.slot(r.channel);
-    ws.read_slot.push(s as u32);
-    if ws.count[s] == 0 {
-        ws.first_freq[s] = r.frequency_hz;
-        ws.first_phase[s] = r.phase;
-    }
-    ws.count[s] += 1;
-    ws.sum_rssi[s] += r.rssi_dbm;
-    ws.acc_sin[s] += sin;
-    ws.acc_cos[s] += cos;
-}
-
 /// Fills the per-read phasor lanes: `(sin_out[i], cos_out[i])` becomes
-/// `sin/cos` of `reads[i].phase` (or of the doubled angle
-/// `2.0 · phase` when `doubled`), computed by the selected backend.
-/// `hits` tallies per-backend evaluations. [`TrigProvider::Table`] never
-/// reaches here — its lookups are fused directly into the caller's
-/// scatter pass (a table hit is two loads; staging it through the lanes
-/// would cost more memory traffic than it saves).
+/// `sin/cos` of `scale · reads[i].phase` (`scale` is 2 for the doubled
+/// angle, 1 for the plain phase — `1.0 · p` is exactly `p`), computed by
+/// the selected backend. `hits` tallies per-backend evaluations.
+/// [`TrigProvider::Table`] never reaches here — its lookups are fused
+/// directly into the accumulation pass (a table hit is two loads; staging
+/// it through the lanes would cost more memory traffic than it saves).
 fn fill_phasors(
     trig: TrigProvider,
     reads: &[RawRead],
-    doubled: bool,
+    scale: f64,
     sin_out: &mut Vec<f64>,
     cos_out: &mut Vec<f64>,
     hits: &mut [u64; 4],
@@ -539,9 +610,6 @@ fn fill_phasors(
     sin_out.resize(n, 0.0);
     cos_out.clear();
     cos_out.resize(n, 0.0);
-    // `1.0 · p` is exactly `p`, so one scaled expression serves both the
-    // doubled and plain lanes without perturbing libm bit-identity.
-    let scale = if doubled { 2.0 } else { 1.0 };
     match trig {
         TrigProvider::Table => unreachable!("table lookups are fused into the caller"),
         TrigProvider::Polynomial => {
@@ -597,18 +665,14 @@ fn fill_phasors(
 /// Fills the fold-pass phasor lanes: for each read of a kept channel,
 /// `(sin_out[i], cos_out[i])` becomes `sin/cos` of the phase folded onto
 /// its channel axis (`p` when within π/2 of the axis, `p + π`
-/// otherwise). Reads of dropped channels get inert `(0, 0)` lanes (their
-/// slots' fold sums are never read). The polynomial and libm backends
-/// stage the folded angles in the cos lane, then transform it;
-/// [`TrigProvider::Table`] never reaches here (fused into the caller's
-/// fold scatter, as in pass 1).
-#[allow(clippy::too_many_arguments)]
+/// otherwise), walking the runs recorded in pass 1. Lanes of dropped
+/// channels are left unset (the fold pass skips their runs).
+/// [`TrigProvider::Table`] never reaches here (fused into the fold pass,
+/// as in pass 1).
 fn fill_fold_phasors(
     trig: TrigProvider,
+    ws: &FrontEndWorkspace,
     reads: &[RawRead],
-    read_slot: &[u32],
-    axis: &[f64],
-    keep: &[bool],
     sin_out: &mut Vec<f64>,
     cos_out: &mut Vec<f64>,
     hits: &mut [u64; 4],
@@ -620,42 +684,50 @@ fn fill_fold_phasors(
     sin_out.resize(n, 0.0);
     cos_out.clear();
     cos_out.resize(n, 0.0);
+    // Every read's slot, run by run, for the per-read fold decision.
+    let slots = ws.runs.iter().scan(0usize, |start, &(end, s)| {
+        let run = *start..end as usize;
+        *start = end as usize;
+        Some((run, s as usize))
+    });
     match trig {
         TrigProvider::Table => unreachable!("table lookups are fused into the caller"),
         TrigProvider::Recurrence => {
-            // The recurrence tracks the *base* phase trajectory and
-            // resolves a fold by negation — `sin/cos(p + π) = −sin/cos p`
-            // exactly — so a π-jumped read costs a sign flip instead of
-            // breaking the rotation chain with a π-sized re-anchor.
+            // The recurrence tracks the *base* phase trajectory over every
+            // read (dropped channels included) and resolves a fold by
+            // negation — `sin/cos(p + π) = −sin/cos p` exactly — so a
+            // π-jumped read costs a sign flip instead of breaking the
+            // rotation chain with a π-sized re-anchor.
             hits[hit::RECURRENCE] += n as u64;
             let mut rec = trig::PhasorRecurrence::new();
-            for i in 0..n {
-                let s = read_slot[i] as usize;
-                let p = reads[i].phase;
-                let (bs, bc) = rec.advance(p);
-                if !keep[s] {
-                    continue;
-                }
-                if wrapped_distance(p, axis[s]) <= FRAC_PI_2 {
-                    sin_out[i] = bs;
-                    cos_out[i] = bc;
-                } else {
-                    sin_out[i] = -bs;
-                    cos_out[i] = -bc;
+            for (run, s) in slots {
+                for i in run {
+                    let p = reads[i].phase;
+                    let (bs, bc) = rec.advance(p);
+                    if !ws.keep[s] {
+                        continue;
+                    }
+                    if wrapped_distance(p, ws.axis[s]) <= FRAC_PI_2 {
+                        sin_out[i] = bs;
+                        cos_out[i] = bc;
+                    } else {
+                        sin_out[i] = -bs;
+                        cos_out[i] = -bc;
+                    }
                 }
             }
         }
         TrigProvider::Polynomial | TrigProvider::Libm => {
-            for i in 0..n {
-                let s = read_slot[i] as usize;
-                let p = reads[i].phase;
-                cos_out[i] = if !keep[s] {
-                    0.0
-                } else if wrapped_distance(p, axis[s]) <= FRAC_PI_2 {
-                    p
-                } else {
-                    p + PI
-                };
+            // Stage the folded angles in the cos lane, then transform it.
+            for (run, s) in slots {
+                if !ws.keep[s] {
+                    continue;
+                }
+                for i in run {
+                    let p = reads[i].phase;
+                    cos_out[i] =
+                        if wrapped_distance(p, ws.axis[s]) <= FRAC_PI_2 { p } else { p + PI };
+                }
             }
             if trig == TrigProvider::Polynomial {
                 hits[hit::POLY] += n as u64;
@@ -941,6 +1013,50 @@ mod tests {
             assert_eq!(l.channel, r.channel);
             assert!((l.phase - r.phase).abs() < 1e-9, "{} vs {}", l.phase, r.phase);
             assert!((l.phase_spread - r.phase_spread).abs() < 1e-6);
+        }
+    }
+
+    /// The fmod-free fast paths of `wrapped_distance` and `wrap_tau` are
+    /// bit-identical to `angle::distance` / `angle::wrap_tau` on values
+    /// of every magnitude, including the quotient boundaries (near
+    /// multiples of τ, both signs), tiny and zero differences, and the
+    /// fallback range.
+    #[test]
+    fn wrapped_distance_is_bit_identical_to_angle_distance() {
+        use std::f64::consts::TAU;
+        let mut diffs = vec![0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, PI, -PI, TAU, -TAU];
+        for k in -40i32..=40 {
+            let m = k as f64 * TAU;
+            let mut lo = m;
+            let mut hi = m;
+            for _ in 0..6 {
+                lo = lo.next_down();
+                hi = hi.next_up();
+                diffs.extend([lo, hi]);
+            }
+            for f in [0.25, 0.5, 0.75] {
+                let x = m + f * TAU;
+                diffs.extend([x, x.next_up(), x.next_down()]);
+            }
+        }
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200_000 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let u = (seed >> 11) as f64 / (1u64 << 53) as f64;
+            let scale = [1.0, 10.0, 300.0, 1e6, 4.2e9, 1e10][(seed % 6) as usize];
+            diffs.push((u - 0.5) * 2.0 * scale);
+        }
+        diffs.extend([1e12, -1e12, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        for &d in &diffs {
+            for b in [0.0, 1.3, -57.2] {
+                let a = d + b;
+                let fast = wrapped_distance(a, b);
+                let slow = angle::distance(a, b);
+                assert_eq!(fast.to_bits(), slow.to_bits(), "a={a:e} b={b:e}: {fast:e} vs {slow:e}");
+            }
+            assert_eq!(wrap_tau(d).to_bits(), angle::wrap_tau(d).to_bits(), "wrap_tau({d:e})");
         }
     }
 

@@ -241,21 +241,35 @@ fn reject_refit_loop(
             .max(config.scale_floor);
         let cutoff = config.threshold * scale;
 
-        // Rank points by residual so we can respect the inlier floor even if
-        // many points exceed the cutoff. Unstable sort with the index as a
-        // tie-break reproduces the stable ranking without its merge buffer.
-        ws.order.clear();
-        ws.order.extend(0..n);
-        let abs_res = &ws.abs_res;
-        ws.order.sort_unstable_by(|&a, &b| {
-            abs_res[a].partial_cmp(&abs_res[b]).expect("finite").then(a.cmp(&b))
-        });
+        // Respect the inlier floor even if many points exceed the cutoff:
+        // the `min_inliers` points of lowest rank in the total order
+        // (|residual|, index) are always kept. Selecting the rank boundary
+        // yields exactly that set (and the boundary residuals the
+        // sensitivity probe reads) without sorting every rank.
         ws.inliers_next.clear();
         ws.inliers_next.resize(n, false);
-        for (rank, &idx) in ws.order.iter().enumerate() {
-            if rank < min_inliers || ws.abs_res[idx] <= cutoff {
+        for (keep, &ar) in ws.inliers_next.iter_mut().zip(&ws.abs_res) {
+            *keep = ar <= cutoff;
+        }
+        // (floor_last, floor_next): the residuals at ranks min_inliers − 1
+        // and min_inliers.
+        let mut floor = None;
+        if min_inliers < n {
+            ws.order.clear();
+            ws.order.extend(0..n);
+            let abs_res = &ws.abs_res;
+            let (below, last, above) = ws
+                .order
+                .select_nth_unstable_by(min_inliers - 1, |&a, &b| {
+                    abs_res[a].total_cmp(&abs_res[b]).then(a.cmp(&b))
+                });
+            for &idx in below.iter().chain(std::iter::once(&*last)) {
                 ws.inliers_next[idx] = true;
             }
+            let next = above.iter().map(|&i| abs_res[i]).fold(f64::INFINITY, f64::min);
+            floor = Some((abs_res[*last], next));
+        } else {
+            ws.inliers_next.fill(true);
         }
         if margin > 0.0 {
             // Cutoff proximity: a residual this close to the cutoff could
@@ -266,9 +280,7 @@ fn reject_refit_loop(
             // floor retains. Rank only decides membership for points the
             // cutoff would reject, so a tie among clear cutoff-inliers is
             // harmless.
-            if n > min_inliers {
-                let floor_last = ws.abs_res[ws.order[min_inliers - 1]];
-                let floor_next = ws.abs_res[ws.order[min_inliers]];
+            if let Some((floor_last, floor_next)) = floor {
                 sensitive |=
                     floor_next - floor_last < margin && floor_next > cutoff - margin;
             }

@@ -15,7 +15,8 @@
 //!   carries its code, every trig value the front end needs —
 //!   `sin/cos(p)`, `sin/cos(2·p)` for the double-angle trick and
 //!   `sin/cos(p + π)` for the fold pass — is one of `3 × 4096`
-//!   precomputed values. The tables are filled by calling libm **on the
+//!   precomputed value pairs, stored interleaved per code so each lookup
+//!   touches one cache line. The tables are filled by calling libm **on the
 //!   exact expressions the scalar code would evaluate**, so the table
 //!   path is bit-identical to the libm path *by construction*; the
 //!   `table_matches_libm_for_every_code` test proves it exhaustively for
@@ -97,30 +98,51 @@ pub(crate) mod hit {
     pub const RECURRENCE: usize = 3;
 }
 
-/// The three table families, one entry per phase code `c`:
-/// `sin/cos(p)`, `sin/cos(2·p)` and `sin/cos(p + π)` for `p = c · LSB`.
-struct PhaseTables {
-    sin: [f64; PHASE_CODES],
-    cos: [f64; PHASE_CODES],
-    dbl_sin: [f64; PHASE_CODES],
-    dbl_cos: [f64; PHASE_CODES],
-    shift_sin: [f64; PHASE_CODES],
-    shift_cos: [f64; PHASE_CODES],
+/// The three table families, one entry per phase code `c`, interleaved
+/// so that every per-read lookup touches a single cache line:
+///
+/// * `base[c] = [sin p, cos p, sin(p + π), cos(p + π)]` — the fold pass
+///   reads either half of one 32-byte entry (the π-shifted half for reads
+///   folded onto the opposite cluster), and the plain-phase accumulation
+///   reads the first half;
+/// * `dbl[c] = [sin 2p, cos 2p]` — the double-angle accumulation.
+///
+/// `p = c · LSB`. The 64-byte alignment keeps each 32-byte `base` entry
+/// and each 16-byte `dbl` entry inside one line.
+#[repr(align(64))]
+pub(crate) struct PhaseTables {
+    base: [[f64; 4]; PHASE_CODES],
+    dbl: [[f64; 2]; PHASE_CODES],
+}
+
+impl PhaseTables {
+    /// `(sin, cos)` of the grid phase of `code`, or of the π-shifted
+    /// phase when `shift`. The shift picks the entry's half by index, so
+    /// the fold decision costs no branch.
+    #[inline(always)]
+    pub(crate) fn fold(&self, code: u16, shift: bool) -> (f64, f64) {
+        let e = &self.base[code as usize % PHASE_CODES];
+        let k = 2 * shift as usize;
+        (e[k], e[k + 1])
+    }
+
+    /// `(sin, cos)` of the doubled grid phase of `code`.
+    #[inline(always)]
+    pub(crate) fn double(&self, code: u16) -> (f64, f64) {
+        let e = &self.dbl[code as usize % PHASE_CODES];
+        (e[0], e[1])
+    }
 }
 
 static TABLES: OnceLock<PhaseTables> = OnceLock::new();
 
 /// The shared tables, built once on first use (inline in the static — no
-/// heap allocation, ~196 KiB total).
-fn tables() -> &'static PhaseTables {
+/// heap allocation, 192 KiB total).
+pub(crate) fn tables() -> &'static PhaseTables {
     TABLES.get_or_init(|| {
         let mut t = PhaseTables {
-            sin: [0.0; PHASE_CODES],
-            cos: [0.0; PHASE_CODES],
-            dbl_sin: [0.0; PHASE_CODES],
-            dbl_cos: [0.0; PHASE_CODES],
-            shift_sin: [0.0; PHASE_CODES],
-            shift_cos: [0.0; PHASE_CODES],
+            base: [[0.0; 4]; PHASE_CODES],
+            dbl: [[0.0; 2]; PHASE_CODES],
         };
         for c in 0..PHASE_CODES {
             // Each entry evaluates libm on the *same expression* the
@@ -129,12 +151,8 @@ fn tables() -> &'static PhaseTables {
             // the grid (doubling is exact; the π shift rounds once) —
             // exactly as they do in the scalar code.
             let p = c as f64 * PHASE_LSB_RAD;
-            t.sin[c] = p.sin();
-            t.cos[c] = p.cos();
-            t.dbl_sin[c] = (2.0 * p).sin();
-            t.dbl_cos[c] = (2.0 * p).cos();
-            t.shift_sin[c] = (p + PI).sin();
-            t.shift_cos[c] = (p + PI).cos();
+            t.base[c] = [p.sin(), p.cos(), (p + PI).sin(), (p + PI).cos()];
+            t.dbl[c] = [(2.0 * p).sin(), (2.0 * p).cos()];
         }
         t
     })
@@ -171,9 +189,7 @@ pub fn code_for_phase(phase: f64) -> Option<u16> {
 /// to `((c·LSB).sin(), (c·LSB).cos())`. Codes are taken modulo 4096.
 #[inline]
 pub fn table_sin_cos(code: u16) -> (f64, f64) {
-    let t = tables();
-    let i = code as usize % PHASE_CODES;
-    (t.sin[i], t.cos[i])
+    tables().fold(code, false)
 }
 
 /// Table lookup of `(sin, cos)` of the **doubled** grid phase for
@@ -185,9 +201,7 @@ pub fn table_sin_cos(code: u16) -> (f64, f64) {
 /// required for bit-identity.
 #[inline]
 pub fn table_double_sin_cos(code: u16) -> (f64, f64) {
-    let t = tables();
-    let i = code as usize % PHASE_CODES;
-    (t.dbl_sin[i], t.dbl_cos[i])
+    tables().double(code)
 }
 
 /// Table lookup of `(sin, cos)` of the **π-shifted** grid phase for
@@ -197,9 +211,7 @@ pub fn table_double_sin_cos(code: u16) -> (f64, f64) {
 /// scalar `folded = p + PI` expression exactly.
 #[inline]
 pub fn table_shift_sin_cos(code: u16) -> (f64, f64) {
-    let t = tables();
-    let i = code as usize % PHASE_CODES;
-    (t.shift_sin[i], t.shift_cos[i])
+    tables().fold(code, true)
 }
 
 // Cody–Waite two-part split of π/2: PIO2_HI is π/2 rounded to f64,

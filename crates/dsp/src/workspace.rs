@@ -240,9 +240,9 @@ impl FitWorkspace {
 ///
 /// Layout is struct-of-arrays: each per-channel quantity is one flat
 /// column indexed by *slot* (dense channel index in first-appearance
-/// order), so the two accumulation passes over the raw reads touch a
-/// handful of contiguous arrays instead of chasing a map of heap-allocated
-/// per-channel vectors.
+/// order), so the two passes over the raw reads touch a handful of
+/// contiguous arrays — once per run of same-channel reads — instead of
+/// chasing a map of heap-allocated per-channel vectors.
 #[derive(Debug, Clone, Default)]
 pub struct FrontEndWorkspace {
     /// channel id → slot + sentinel (`u32::MAX` = unseen this call).
@@ -279,9 +279,10 @@ pub struct FrontEndWorkspace {
     pub(crate) order: Vec<usize>,
     /// Phase column in sorted order (unwrap operates in place here).
     pub(crate) phase_col: Vec<f64>,
-    /// read index → slot (recorded in pass 1, reused by the fold and
-    /// vote passes instead of re-looking channels up).
-    pub(crate) read_slot: Vec<u32>,
+    /// Runs of consecutive same-channel reads as `(end read index, slot)`,
+    /// recorded by the run-wise accumulation pass and walked by the fused
+    /// fold + vote pass instead of re-looking channels up.
+    pub(crate) runs: Vec<(u32, u32)>,
     /// Per-read phasor lane, sin component (filled by the trig backend,
     /// then scattered into the per-slot accumulators).
     pub(crate) read_sin: Vec<f64>,
@@ -363,7 +364,7 @@ impl FrontEndWorkspace {
         self.keep.clear();
         self.order.clear();
         self.phase_col.clear();
-        self.read_slot.clear();
+        self.runs.clear();
         self.trig_hits = [0; 4];
         self.fit_x.clear();
         self.fit_y.clear();
@@ -400,8 +401,8 @@ impl FrontEndWorkspace {
     }
 
     /// Slot of `channel` if it was seen this call.
-    #[inline]
-    pub(crate) fn slot_if_seen(&self, channel: usize) -> Option<usize> {
+    #[cfg(test)]
+    fn slot_if_seen(&self, channel: usize) -> Option<usize> {
         match self.slot_of.get(channel) {
             Some(&s) if s != u32::MAX => Some(s as usize),
             _ => None,

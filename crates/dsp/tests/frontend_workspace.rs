@@ -63,6 +63,90 @@ fn quantized(reads: &[RawRead]) -> Vec<RawRead> {
         .collect()
 }
 
+/// Dwell-ordered windows, the shape the run-wise passes exploit: runs of
+/// 1–32 consecutive reads per channel dwell, channels revisited later in
+/// the window (so runs resume from stored slot sums), a mix of coded
+/// (on-grid) and uncoded reads, and — per channel — reads on the channel
+/// phase, π-jumped reads, and reads within three codes of the ±π/2 fold
+/// boundary around the channel phase.
+fn arb_dwell_window() -> impl Strategy<Value = Vec<RawRead>> {
+    (
+        proptest::collection::vec((0usize..12, 1usize..=32, 0u64..u64::MAX), 1..24),
+        0u64..u64::MAX,
+    )
+        .prop_map(|(dwells, window_seed)| {
+            let lsb = trig::PHASE_LSB_RAD;
+            let mut reads = Vec::new();
+            for (channel, len, dwell_seed) in dwells {
+                // Per-channel phase code, shared by every dwell of the channel.
+                let base = (window_seed ^ (channel as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                    % 4096;
+                let mut rng = dwell_seed;
+                for _ in 0..len {
+                    rng = rng
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let r = rng >> 16;
+                    let jitter = (r >> 8) % 7; // 0..=6, centred on 3
+                    let offset = match r % 8 {
+                        // On the channel phase, a few codes of noise.
+                        0..=3 => jitter,
+                        // π-jumped.
+                        4 | 5 => 2048 + jitter,
+                        // Within three codes of the fold boundary, either side.
+                        6 => 1024 + jitter,
+                        _ => 3072 + jitter,
+                    };
+                    let code = ((base + offset + 4096 - 3) % 4096) as u16;
+                    let grid = code as f64 * lsb;
+                    let (phase, phase_code) = if (r >> 20) % 3 == 0 {
+                        // Uncoded: a continuous phase between grid points.
+                        let frac = 0.1 + 0.8 * ((r >> 24) % 1000) as f64 / 1000.0;
+                        (rfp_geom::angle::wrap_tau(grid + frac * lsb), None)
+                    } else {
+                        (grid, Some(code))
+                    };
+                    assert_eq!(phase_code.is_some(), trig::code_for_phase(phase).is_some());
+                    reads.push(RawRead {
+                        channel,
+                        frequency_hz: 902.75e6 + channel as f64 * 0.5e6,
+                        phase,
+                        rssi_dbm: -60.0 + ((r >> 32) % 200) as f64 * 0.1,
+                        timestamp_s: reads.len() as f64 * 0.004,
+                        phase_code,
+                    });
+                }
+            }
+            reads
+        })
+}
+
+/// Bitwise comparison of two preprocess results (`==` on `f64` would
+/// equate `±0`).
+fn assert_bitwise(
+    actual: &Result<Vec<rfp_dsp::ChannelObservation>, rfp_dsp::preprocess::PreprocessError>,
+    expected: &Result<Vec<rfp_dsp::ChannelObservation>, rfp_dsp::preprocess::PreprocessError>,
+    what: &str,
+) {
+    match (actual, expected) {
+        (Ok(a), Ok(e)) => {
+            assert_eq!(a.len(), e.len(), "{what}: channel count");
+            for (x, y) in a.iter().zip(e) {
+                assert_eq!((x.channel, x.read_count), (y.channel, y.read_count), "{what}");
+                for (u, v) in [
+                    (x.frequency_hz, y.frequency_hz),
+                    (x.phase, y.phase),
+                    (x.rssi_dbm, y.rssi_dbm),
+                    (x.phase_spread, y.phase_spread),
+                ] {
+                    assert_eq!(u.to_bits(), v.to_bits(), "{what}: channel {}", x.channel);
+                }
+            }
+        }
+        (a, e) => assert_eq!(a, e, "{what}"),
+    }
+}
+
 /// Arbitrary fit data with occasional duplicate x values (zero-dx slope
 /// pairs) and occasional exactly-repeated y values.
 fn arb_fit_data() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -171,6 +255,92 @@ proptest! {
             let reads = if quantize { quantized(&reads) } else { reads };
             check_backends_against_reference(&reads, pi_jumps);
         }
+    }
+
+    #[test]
+    fn dwell_windows_match_reference_bitwise(
+        reads in arb_dwell_window(),
+        min_reads in 1usize..5,
+    ) {
+        for pi_jumps in [true, false] {
+            let base = PreprocessConfig {
+                correct_pi_jumps: pi_jumps,
+                min_reads_per_channel: min_reads,
+                trig: TrigProvider::Libm,
+            };
+            let expected = reference::preprocess_reads(&reads, &base);
+            // Reads of channels that survive the min-reads filter, and how
+            // many of those and of all reads carry a phase code.
+            let mut per_channel = std::collections::BTreeMap::new();
+            for r in &reads {
+                *per_channel.entry(r.channel).or_insert(0usize) += 1;
+            }
+            let kept = |r: &&RawRead| per_channel[&r.channel] >= min_reads;
+            let coded = reads.iter().filter(|r| r.phase_code.is_some()).count() as u64;
+            let kept_reads = reads.iter().filter(kept).count() as u64;
+            let kept_coded =
+                reads.iter().filter(kept).filter(|r| r.phase_code.is_some()).count() as u64;
+            let n = reads.len() as u64;
+            for trig_backend in [TrigProvider::Table, TrigProvider::Libm] {
+                let mut ws = FrontEndWorkspace::default();
+                let mut out = Vec::new();
+                let config = PreprocessConfig { trig: trig_backend, ..base };
+                let actual = rfp_dsp::preprocess_reads_with(&mut ws, &reads, &config, &mut out)
+                    .map(|()| out.clone());
+                assert_bitwise(
+                    &actual,
+                    &expected,
+                    &format!("{trig_backend:?}, pi_jumps={pi_jumps}, min_reads={min_reads}"),
+                );
+                // One phasor per read in pass 1; in π-jump mode one more
+                // per read of a kept channel (the fold) — only when some
+                // channel is kept.
+                let fold = pi_jumps && expected.is_ok();
+                let expected_hits = match trig_backend {
+                    TrigProvider::Table => [
+                        coded + if fold { kept_coded } else { 0 },
+                        0,
+                        (n - coded) + if fold { kept_reads - kept_coded } else { 0 },
+                        0,
+                    ],
+                    _ => [0, 0, n + if fold { n } else { 0 }, 0],
+                };
+                prop_assert_eq!(ws.trig_hits(), expected_hits);
+            }
+        }
+    }
+
+    #[test]
+    fn theil_sen_zero_slopes_match_reference_bitwise(
+        steps in proptest::collection::vec((1u32..50, 0usize..5), 2..60),
+    ) {
+        // Strictly increasing xs (the front end's frequency columns) with
+        // ys drawn from a handful of values: repeated ys give exact zero
+        // slopes, and the ±0 pair gives negative zeros.
+        const YS: [f64; 5] = [0.0, -0.0, 1.25, -3.5, 1.25];
+        let mut x = 902.75e6;
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for (dx, yi) in steps {
+            x += dx as f64 * 0.5e6;
+            xs.push(x);
+            ys.push(YS[yi]);
+        }
+        let fit = theil_sen(&xs, &ys).expect("strictly increasing xs");
+        // Equal to the frozen reference as values, like every Theil–Sen
+        // pin (the reference's stable sort may pick the other zero of a
+        // ±0 tie than in-place selection does)…
+        prop_assert_eq!(fit, reference::theil_sen(&xs, &ys).expect("fittable"));
+        // …and bitwise equal to comparator-path selection over the slopes
+        // in enumeration order, which the integer-key median must fall
+        // back to whenever a zero slope makes the ±0 tie ambiguous.
+        let mut slopes = Vec::new();
+        for i in 0..xs.len() {
+            for j in i + 1..xs.len() {
+                slopes.push((ys[j] - ys[i]) / (xs[j] - xs[i]));
+            }
+        }
+        let median = rfp_dsp::stats::median_in_place(&mut slopes).expect("nonempty");
+        prop_assert_eq!(fit.slope.to_bits(), median.to_bits());
     }
 
     #[test]
