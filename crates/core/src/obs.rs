@@ -373,10 +373,11 @@ mod enabled {
         recorder::span(name)
     }
 
-    /// Starts timing into latency histogram `idx` (µs, recorded on drop).
+    /// Opens the named stage span and, on close, records its duration (µs)
+    /// into each latency histogram in `histograms`.
     #[inline]
-    pub fn time_histogram(idx: usize) -> rfp_obs::TimerGuard {
-        recorder::time_histogram(idx)
+    pub fn timed_span(name: &'static str, histograms: &'static [usize]) -> rfp_obs::SpanGuard {
+        recorder::timed_span(name, histograms)
     }
 
     /// Records one detector verdict into the `detector.*` counters.
@@ -550,10 +551,6 @@ mod disabled {
     #[derive(Debug)]
     pub struct SpanGuard;
 
-    /// Inert stand-in for the recorder's histogram timer guard.
-    #[derive(Debug)]
-    pub struct TimerGuard;
-
     /// Always `false` without the `obs` feature, so guarded snapshot code
     /// is dead and folds away.
     #[inline(always)]
@@ -587,10 +584,10 @@ mod disabled {
         SpanGuard
     }
 
-    /// No-op histogram timer probe.
+    /// No-op timed span probe.
     #[inline(always)]
-    pub fn time_histogram(_idx: usize) -> TimerGuard {
-        TimerGuard
+    pub fn timed_span(_name: &'static str, _histograms: &'static [usize]) -> SpanGuard {
+        SpanGuard
     }
 
     /// No-op verdict probe.

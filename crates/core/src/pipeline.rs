@@ -358,8 +358,7 @@ impl RfPrism {
         workspace: &mut SenseWorkspace,
         warm: Option<&WarmStart>,
     ) -> Result<SensingResult, SenseError> {
-        let _sense_span = obs::span("sense");
-        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
+        let _sense_span = obs::timed_span("sense", &[obs::id::SENSE_LATENCY_US]);
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
         if reads_per_antenna.len() != self.poses.len() {
             return Err(SenseError::AntennaCountMismatch {
@@ -613,8 +612,7 @@ impl RfPrism {
         warm: Option<&WarmStart>,
     ) -> Result<SensingResult, SenseError> {
         use rfp_geom::angle;
-        let _sense_span = obs::span("sense_rounds");
-        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
+        let _sense_span = obs::timed_span("sense_rounds", &[obs::id::SENSE_LATENCY_US]);
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
         let mut per_round: Vec<Vec<AntennaObservation>> = Vec::new();
         let mut last_moving: Option<f64> = None;

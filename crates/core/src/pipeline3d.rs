@@ -247,8 +247,7 @@ impl RfPrism3D {
         workspace: &mut Sense3DWorkspace,
         warm: Option<&WarmStart3D>,
     ) -> Result<Sensing3DResult, Sense3DError> {
-        let _sense_span = obs::span("sense_3d");
-        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
+        let _sense_span = obs::timed_span("sense_3d", &[obs::id::SENSE_LATENCY_US]);
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
         if reads_per_antenna.len() != self.poses.len() {
             return Err(Sense3DError::AntennaCountMismatch {

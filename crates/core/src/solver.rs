@@ -782,8 +782,7 @@ fn solve_2d_gated(
     if observations.len() < 3 {
         return Err(SolveError::TooFewAntennas { provided: observations.len() });
     }
-    let _solve_span = obs::span("solve_2d");
-    let _solve_timer = obs::time_histogram(obs::id::SOLVE_LATENCY_US);
+    let _solve_span = obs::timed_span("solve_2d", &[obs::id::SOLVE_LATENCY_US]);
     let before = if obs::active() {
         Some((workspace.stats(), workspace.lane_stats(), workspace.step_stats()))
     } else {

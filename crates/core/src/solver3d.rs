@@ -758,8 +758,7 @@ pub fn solve_3d_seeded_warm(
     if observations.len() < 4 {
         return Err(Solve3DError::TooFewAntennas { provided: observations.len() });
     }
-    let _solve_span = obs::span("solve_3d");
-    let _solve_timer = obs::time_histogram(obs::id::SOLVE_LATENCY_US);
+    let _solve_span = obs::timed_span("solve_3d", &[obs::id::SOLVE_LATENCY_US]);
     let before = if obs::active() {
         Some((workspace.stats(), workspace.lane_stats(), workspace.step_stats()))
     } else {

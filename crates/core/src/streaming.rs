@@ -133,7 +133,9 @@ impl RfPrism {
 
 impl<'a> StreamingSession<'a> {
     /// Appends one read to `antenna`'s sliding window (O(1), no trig on
-    /// later advances: phasors are computed once here).
+    /// later advances: phasors are computed once here). A read with a
+    /// non-finite phase, frequency, RSSI or timestamp is dropped and
+    /// counted in [`StreamingStats::rejected`].
     ///
     /// # Panics
     ///
@@ -162,7 +164,7 @@ impl<'a> StreamingSession<'a> {
     }
 
     /// Cumulative incremental-engine statistics over the session's
-    /// lifetime (updates, downdates, refit fallbacks).
+    /// lifetime (updates, downdates, refit fallbacks, rejected reads).
     pub fn stats(&self) -> StreamingStats {
         self.stats
     }
@@ -187,9 +189,10 @@ impl<'a> StreamingSession<'a> {
     /// As [`RfPrism::sense`]: fewer than 3 usable antennas, a moving tag
     /// (when rejection is enabled) or a solver failure.
     pub fn advance(&mut self, now_s: f64) -> Result<SensingResult, SenseError> {
-        let _sense_span = obs::span("sense_streaming");
-        let _sense_timer = obs::time_histogram(obs::id::SENSE_LATENCY_US);
-        let _advance_timer = obs::time_histogram(obs::id::STREAMING_ADVANCE_LATENCY_US);
+        let _sense_span = obs::timed_span(
+            "sense_streaming",
+            &[obs::id::SENSE_LATENCY_US, obs::id::STREAMING_ADVANCE_LATENCY_US],
+        );
         self.advances += 1;
         obs::journal_tick(self.advances);
         obs::counter_add(obs::id::PIPELINE_WINDOWS_TOTAL, 1);
@@ -197,20 +200,20 @@ impl<'a> StreamingSession<'a> {
 
         let mut observations = self.workspace.take_observations();
         let mut first_error = None;
-        {
-            let _extract_span = obs::span("extract");
-            for (pose, window) in self.prism.poses().iter().zip(&mut self.windows) {
-                window.expire_before(cutoff);
-                let mut slot = self.workspace.take_slot(*pose);
-                let _extract_timer = obs::time_histogram(obs::id::STREAMING_EXTRACT_LATENCY_US);
-                match extract_streaming(*pose, window, &mut slot) {
-                    Ok(()) => observations.push(slot),
-                    Err(e) => {
-                        self.workspace.recycle_slot(slot);
-                        obs::counter_add(obs::id::PIPELINE_EXTRACT_FAILURES, 1);
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
+        for (pose, window) in self.prism.poses().iter().zip(&mut self.windows) {
+            window.expire_before(cutoff);
+            let mut slot = self.workspace.take_slot(*pose);
+            // One span per antenna: its clock pair also times the
+            // extract-latency histogram.
+            let _extract_span =
+                obs::timed_span("extract", &[obs::id::STREAMING_EXTRACT_LATENCY_US]);
+            match extract_streaming(*pose, window, &mut slot) {
+                Ok(()) => observations.push(slot),
+                Err(e) => {
+                    self.workspace.recycle_slot(slot);
+                    obs::counter_add(obs::id::PIPELINE_EXTRACT_FAILURES, 1);
+                    if first_error.is_none() {
+                        first_error = Some(e);
                     }
                 }
             }
@@ -283,37 +286,43 @@ impl<'a> StreamingSession<'a> {
     /// antenna index and stamped with the advance tick, so a fallback
     /// storm can be reconstructed per antenna after the fact.
     fn drain_window_counters(&mut self) {
-        self.fallbacks_window = 0;
+        let before = self.stats;
+        let mut trig = [0u64; 4];
         for (antenna, window) in self.windows.iter_mut().enumerate() {
-            let StreamingStats { updates, downdates, refit_fallbacks, drift_ops, rebuilds } =
-                window.take_stats();
-            obs::counter_add(STREAMING_UPDATES, updates);
-            obs::counter_add(STREAMING_DOWNDATES, downdates);
-            obs::counter_add(STREAMING_REFIT_FALLBACKS, refit_fallbacks);
-            obs::counter_add(STREAMING_DRIFT_OPS, drift_ops);
-            obs::counter_add(STREAMING_REBUILDS, rebuilds);
-            obs::counter_add(FRONTEND_READS, updates);
-            if refit_fallbacks > 0 {
-                obs::journal_record("refit_fallback", antenna as u64, refit_fallbacks);
+            let s = window.take_stats();
+            if s.refit_fallbacks > 0 {
+                obs::journal_record("refit_fallback", antenna as u64, s.refit_fallbacks);
             }
-            if rebuilds > 0 {
-                obs::journal_record("rebuild", antenna as u64, rebuilds);
+            if s.rebuilds > 0 {
+                obs::journal_record("rebuild", antenna as u64, s.rebuilds);
             }
-            self.stats.updates += updates;
-            self.stats.downdates += downdates;
-            self.stats.refit_fallbacks += refit_fallbacks;
-            self.stats.drift_ops += drift_ops;
-            self.stats.rebuilds += rebuilds;
-            self.fallbacks_window += refit_fallbacks;
-            let [table, poly, libm, recurrence] = window.take_trig_hits();
-            obs::counter_add(FRONTEND_TRIG_TABLE_READS, table);
-            obs::counter_add(FRONTEND_TRIG_POLY_READS, poly);
-            obs::counter_add(FRONTEND_TRIG_LIBM_READS, libm);
-            obs::counter_add(FRONTEND_TRIG_RECURRENCE_READS, recurrence);
+            self.stats.updates += s.updates;
+            self.stats.downdates += s.downdates;
+            self.stats.refit_fallbacks += s.refit_fallbacks;
+            self.stats.drift_ops += s.drift_ops;
+            self.stats.rebuilds += s.rebuilds;
+            self.stats.rejected += s.rejected;
+            for (sum, hits) in trig.iter_mut().zip(window.take_trig_hits()) {
+                *sum += hits;
+            }
         }
+        // Each counter is published once for all antennas: every probe
+        // is a thread-local lookup.
+        let updates = self.stats.updates - before.updates;
+        self.fallbacks_window = self.stats.refit_fallbacks - before.refit_fallbacks;
+        obs::counter_add(STREAMING_UPDATES, updates);
+        obs::counter_add(STREAMING_DOWNDATES, self.stats.downdates - before.downdates);
+        obs::counter_add(STREAMING_REFIT_FALLBACKS, self.fallbacks_window);
+        obs::counter_add(STREAMING_DRIFT_OPS, self.stats.drift_ops - before.drift_ops);
+        obs::counter_add(STREAMING_REBUILDS, self.stats.rebuilds - before.rebuilds);
+        obs::counter_add(FRONTEND_READS, updates);
+        let [table, poly, libm, recurrence] = trig;
+        obs::counter_add(FRONTEND_TRIG_TABLE_READS, table);
+        obs::counter_add(FRONTEND_TRIG_POLY_READS, poly);
+        obs::counter_add(FRONTEND_TRIG_LIBM_READS, libm);
+        obs::counter_add(FRONTEND_TRIG_RECURRENCE_READS, recurrence);
     }
 }
-
 
 /// The streaming analogue of `extract_observation_into`: pulls the line
 /// fit out of the window's incremental accumulators instead of
@@ -347,4 +356,57 @@ fn extract_streaming(
     };
     finish_observation(pose, &extract.raw_fit, &fit, inlier_fraction, out);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfp_geom::Vec2;
+    use rfp_sim::{Motion, Scene, SimTag};
+
+    /// Reads with a non-finite phase, frequency, RSSI or timestamp are
+    /// dropped at push — a NaN phase would reach the median and panic
+    /// the advance, an infinite timestamp would never expire — so every
+    /// advance succeeds, with the estimate and observations bitwise those
+    /// of the same stream without them.
+    #[test]
+    fn non_finite_reads_leave_the_estimate_bitwise_unchanged() {
+        let scene = Scene::standard_2d();
+        let tag = SimTag::with_seeded_diversity(7)
+            .with_motion(Motion::planar_static(Vec2::new(0.4, 1.3), 0.6));
+        let rounds = rfp_sim::stream_rounds(&scene, &tag, 5, 11);
+        let span = scene.reader().round_duration_s();
+        let prism = RfPrism::new(scene.antenna_poses(), scene.reader().plan)
+            .with_region(scene.region());
+        let mut clean = prism.sense_streaming(span);
+        let mut dirty = prism.sense_streaming(span);
+        let mut injected = 0;
+        for round in &rounds {
+            for (antenna, reads) in round.per_antenna.iter().enumerate() {
+                for (k, read) in reads.iter().enumerate() {
+                    clean.push(antenna, read);
+                    dirty.push(antenna, read);
+                    let bad = match k % 97 {
+                        0 => RawRead { phase: f64::NAN, phase_code: None, ..*read },
+                        1 => RawRead { timestamp_s: f64::INFINITY, ..*read },
+                        2 => RawRead { frequency_hz: f64::NAN, ..*read },
+                        3 => RawRead { rssi_dbm: f64::NEG_INFINITY, ..*read },
+                        _ => continue,
+                    };
+                    dirty.push(antenna, &bad);
+                    injected += 1;
+                }
+            }
+            let a = clean.advance(round.end_time_s).expect("clean advance");
+            let b = dirty.advance(round.end_time_s).expect("advance with bad reads");
+            assert_eq!(format!("{:?}", a.estimate), format!("{:?}", b.estimate));
+            assert_eq!(format!("{:?}", a.observations), format!("{:?}", b.observations));
+            assert_eq!(clean.retained_reads(), dirty.retained_reads());
+            clean.recycle(a);
+            dirty.recycle(b);
+        }
+        assert!(injected >= 12, "{injected} bad reads injected");
+        assert_eq!(dirty.stats().rejected, injected);
+        assert_eq!(clean.stats().rejected, 0);
+    }
 }

@@ -245,13 +245,13 @@ const SIGN_BIT: u64 = 1 << 63;
 /// Maps an `f64` bit pattern to a `u64` whose unsigned order is the
 /// IEEE total order of the floats (negatives reversed below positives).
 #[inline(always)]
-fn order_key(bits: u64) -> u64 {
+pub(crate) fn order_key(bits: u64) -> u64 {
     bits ^ ((((bits as i64) >> 63) as u64) | SIGN_BIT)
 }
 
 /// Inverse of [`order_key`].
 #[inline(always)]
-fn from_order_key(key: u64) -> u64 {
+pub(crate) fn from_order_key(key: u64) -> u64 {
     key ^ ((((!key as i64) >> 63) as u64) | SIGN_BIT)
 }
 

@@ -306,7 +306,7 @@ pub fn preprocess_reads_with(
     // unwrap in place.
     ws.phase_col.clear();
     for &s in &ws.order {
-        ws.phase_col.push(wrap_tau(ws.axis[s]));
+        ws.phase_col.push(angle::wrap_tau(ws.axis[s]));
     }
     if pi_jumps {
         // The per-channel axes are only known modulo π: unwrap them with
@@ -471,15 +471,16 @@ fn fold_and_vote(
 
 /// The two per-read decisions of the fold + vote pass for a block of at
 /// most [`DECISION_BLOCK`] reads of one channel:
-/// `wrapped_distance(p, axis) > π/2` (fold onto the opposite cluster) and
-/// `wrapped_distance(p, unwrapped) ≤ π/2` (vote for the axis).
+/// `angle::distance(p, axis) > π/2` (fold onto the opposite cluster) and
+/// `angle::distance(p, unwrapped) ≤ π/2` (vote for the axis).
 ///
-/// The loop evaluates [`wrapped_distance`]'s exact fast path as
-/// straight-line selects with no data-dependent branch (π jumps make each
-/// decision a coin flip, so a branch would mispredict half the time), so
-/// the compiler vectorizes it. A block holding a difference outside the
-/// fast range (NaN, ±∞, huge) is re-decided through [`wrapped_distance`]
-/// itself. Entries past the block's end are unset.
+/// The loop evaluates [`angle::distance_in_range`], the branch-free form
+/// of `angle::distance`, as straight-line selects with no data-dependent
+/// branch (π jumps make each decision a coin flip, so a branch would
+/// mispredict half the time), so the compiler vectorizes it. A block
+/// holding a difference outside its range (NaN, ±∞, huge) is re-decided
+/// through `angle::distance` itself. Entries past the block's end are
+/// unset.
 #[inline(always)]
 fn block_decisions(
     block: &[RawRead],
@@ -489,104 +490,18 @@ fn block_decisions(
     vote: &mut [bool; DECISION_BLOCK],
 ) {
     use std::f64::consts::FRAC_PI_2;
+    let limit = angle::EXACT_REDUCE_LIMIT;
     let mut in_range = true;
     for ((r, s), v) in block.iter().zip(shift.iter_mut()).zip(vote.iter_mut()) {
-        let (da, du) = (r.phase - axis, r.phase - unwrapped);
-        in_range &= (da.abs() < FAST_REDUCE_LIMIT) & (du.abs() < FAST_REDUCE_LIMIT);
-        *s = wrap_fast(reduce_tau(da)) > FRAC_PI_2;
-        *v = wrap_fast(reduce_tau(du)) <= FRAC_PI_2;
+        in_range &= ((r.phase - axis).abs() < limit) & ((r.phase - unwrapped).abs() < limit);
+        *s = angle::distance_in_range(r.phase, axis) > FRAC_PI_2;
+        *v = angle::distance_in_range(r.phase, unwrapped) <= FRAC_PI_2;
     }
     if !in_range {
         for ((r, s), v) in block.iter().zip(shift.iter_mut()).zip(vote.iter_mut()) {
-            *s = wrapped_distance(r.phase, axis) > FRAC_PI_2;
-            *v = wrapped_distance(r.phase, unwrapped) <= FRAC_PI_2;
+            *s = angle::distance(r.phase, axis) > FRAC_PI_2;
+            *v = angle::distance(r.phase, unwrapped) <= FRAC_PI_2;
         }
-    }
-}
-
-/// Bound on `|a − b|` below which [`wrapped_distance`] reduces by
-/// [`reduce_tau`]; beyond it (and for NaN/±∞) it calls `angle::distance`.
-const FAST_REDUCE_LIMIT: f64 = 4_294_967_296.0;
-
-/// `d − q·τ` for finite `|d| <` [`FAST_REDUCE_LIMIT`], with `q` the
-/// estimated nearest integer to `d/τ` — a remainder in `(-τ, τ)` that is
-/// congruent to `d` and **exact**.
-///
-/// The estimate `d · (1/τ)` is within `2⁻²⁰` of `d/τ` on this range, so
-/// `|d − q·τ| ≤ (½ + 2⁻²⁰)·τ`; that value is a multiple of
-/// `min(ulp(d), ulp(τ))` below `τ` in magnitude, hence representable, and
-/// one fused multiply-add returns it without rounding.
-#[inline(always)]
-fn reduce_tau(d: f64) -> f64 {
-    use std::f64::consts::TAU;
-    let q = (d * (1.0 / TAU)).round_ties_even();
-    (-q).mul_add(TAU, d)
-}
-
-/// `angle::wrap_tau(x)`, bit-identical, without its libm `fmod` for
-/// `|x| < τ` (every channel axis): there `x % τ` is `x` itself, and the
-/// `rem_euclid` add and the `≥ τ` adjustment are replayed verbatim.
-#[inline]
-fn wrap_tau(x: f64) -> f64 {
-    use std::f64::consts::TAU;
-    if x.abs() < TAU {
-        let w = if x < 0.0 { x + TAU } else { x };
-        if w >= TAU {
-            w - TAU
-        } else {
-            w
-        }
-    } else {
-        angle::wrap_tau(x)
-    }
-}
-
-/// `|wrap_pi(d)|` for `d ∈ (-τ, τ)`, replaying `rem_euclid`'s single add
-/// of `τ` and the `wrap_tau`/`wrap_pi` adjustments as selects — see
-/// [`wrapped_distance`].
-#[inline(always)]
-fn wrap_fast(d: f64) -> f64 {
-    use std::f64::consts::{PI, TAU};
-    let w = if d < 0.0 { d + TAU } else { d };
-    let w = if w >= TAU { w - TAU } else { w };
-    let w = if w > PI { w - TAU } else { w };
-    w.abs()
-}
-
-/// `angle::distance(a, b)`, bit-identical, fast-pathed for the per-read
-/// hot loops.
-///
-/// `angle::distance` is `|wrap_pi(a − b)|`, which reaches
-/// `f64::rem_euclid`, whose `%` is a libm `fmod` call — the single most
-/// expensive operation left in the fold + vote pass once the trig is
-/// table-backed (the vote compares raw phases against the *unwrapped*
-/// axes, so most of its differences span several turns). With
-/// `f = d % τ` (exact), `rem_euclid` is `f` when `f ≥ 0` and the floating
-/// add `f + τ` otherwise; [`wrap_fast`] replays exactly that on its
-/// argument, followed by the `≥ τ` and `> π` adjustments copied verbatim
-/// from `wrap_tau`/`wrap_pi`.
-///
-/// [`reduce_tau`] gives an exact remainder `r ≡ d (mod τ)` in `(-τ, τ)`,
-/// so `r − f ∈ {−τ, 0, τ}`. When `r = f + τ` (`f < 0`), libm's `f + τ`
-/// is exactly the representable `r`, which `wrap_fast` keeps as is; when
-/// `r = f − τ` (`f ≥ 0`), `wrap_fast` computes `r + τ`, exactly the
-/// representable `f`; when `r = f` both take the same branch, rounding
-/// `f + τ` identically (tiny `|f|` → exactly `τ`). Either way the first
-/// step yields the same value (a zero may differ in sign, which the
-/// comparisons and the final `abs` cannot see).
-///
-/// The fast path is therefore **bit-identical** to `angle::distance` on
-/// its range; anything else (`|d| ≥` [`FAST_REDUCE_LIMIT`], NaN, ±∞)
-/// falls back to the real thing. The frozen reference path keeps calling
-/// `angle::distance`, and the bit-identity property suites compare the
-/// two implementations on every window they generate.
-#[inline(always)]
-pub(crate) fn wrapped_distance(a: f64, b: f64) -> f64 {
-    let d = a - b;
-    if d.abs() < FAST_REDUCE_LIMIT {
-        wrap_fast(reduce_tau(d))
-    } else {
-        angle::distance(a, b)
     }
 }
 
@@ -707,7 +622,7 @@ fn fill_fold_phasors(
                     if !ws.keep[s] {
                         continue;
                     }
-                    if wrapped_distance(p, ws.axis[s]) <= FRAC_PI_2 {
+                    if angle::distance(p, ws.axis[s]) <= FRAC_PI_2 {
                         sin_out[i] = bs;
                         cos_out[i] = bc;
                     } else {
@@ -726,7 +641,7 @@ fn fill_fold_phasors(
                 for i in run {
                     let p = reads[i].phase;
                     cos_out[i] =
-                        if wrapped_distance(p, ws.axis[s]) <= FRAC_PI_2 { p } else { p + PI };
+                        if angle::distance(p, ws.axis[s]) <= FRAC_PI_2 { p } else { p + PI };
                 }
             }
             if trig == TrigProvider::Polynomial {
@@ -1013,50 +928,6 @@ mod tests {
             assert_eq!(l.channel, r.channel);
             assert!((l.phase - r.phase).abs() < 1e-9, "{} vs {}", l.phase, r.phase);
             assert!((l.phase_spread - r.phase_spread).abs() < 1e-6);
-        }
-    }
-
-    /// The fmod-free fast paths of `wrapped_distance` and `wrap_tau` are
-    /// bit-identical to `angle::distance` / `angle::wrap_tau` on values
-    /// of every magnitude, including the quotient boundaries (near
-    /// multiples of τ, both signs), tiny and zero differences, and the
-    /// fallback range.
-    #[test]
-    fn wrapped_distance_is_bit_identical_to_angle_distance() {
-        use std::f64::consts::TAU;
-        let mut diffs = vec![0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, PI, -PI, TAU, -TAU];
-        for k in -40i32..=40 {
-            let m = k as f64 * TAU;
-            let mut lo = m;
-            let mut hi = m;
-            for _ in 0..6 {
-                lo = lo.next_down();
-                hi = hi.next_up();
-                diffs.extend([lo, hi]);
-            }
-            for f in [0.25, 0.5, 0.75] {
-                let x = m + f * TAU;
-                diffs.extend([x, x.next_up(), x.next_down()]);
-            }
-        }
-        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..200_000 {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            let u = (seed >> 11) as f64 / (1u64 << 53) as f64;
-            let scale = [1.0, 10.0, 300.0, 1e6, 4.2e9, 1e10][(seed % 6) as usize];
-            diffs.push((u - 0.5) * 2.0 * scale);
-        }
-        diffs.extend([1e12, -1e12, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
-        for &d in &diffs {
-            for b in [0.0, 1.3, -57.2] {
-                let a = d + b;
-                let fast = wrapped_distance(a, b);
-                let slow = angle::distance(a, b);
-                assert_eq!(fast.to_bits(), slow.to_bits(), "a={a:e} b={b:e}: {fast:e} vs {slow:e}");
-            }
-            assert_eq!(wrap_tau(d).to_bits(), angle::wrap_tau(d).to_bits(), "wrap_tau({d:e})");
         }
     }
 

@@ -248,13 +248,23 @@ fn reject_refit_loop(
         // sensitivity probe reads) without sorting every rank.
         ws.inliers_next.clear();
         ws.inliers_next.resize(n, false);
+        let (mut within, mut clear) = (0usize, 0usize);
         for (keep, &ar) in ws.inliers_next.iter_mut().zip(&ws.abs_res) {
             *keep = ar <= cutoff;
+            within += *keep as usize;
+            clear += (ar <= cutoff - margin) as usize;
         }
-        // (floor_last, floor_next): the residuals at ranks min_inliers − 1
-        // and min_inliers.
+        // When the cutoff alone keeps `min_inliers` points, the lowest
+        // ranks are a subset of the cutoff set, so the select changes no
+        // mask entry. It runs then only for the sensitivity probe, which
+        // reads `floor` = (floor_last, floor_next), the residuals at ranks
+        // min_inliers − 1 and min_inliers — and only when more than
+        // `min_inliers` points clear the cutoff by the margin is
+        // `floor_next ≤ cutoff − margin` known without it.
         let mut floor = None;
-        if min_inliers < n {
+        if min_inliers >= n {
+            ws.inliers_next.fill(true);
+        } else if within < min_inliers || (margin > 0.0 && clear <= min_inliers) {
             ws.order.clear();
             ws.order.extend(0..n);
             let abs_res = &ws.abs_res;
@@ -268,8 +278,6 @@ fn reject_refit_loop(
             }
             let next = above.iter().map(|&i| abs_res[i]).fold(f64::INFINITY, f64::min);
             floor = Some((abs_res[*last], next));
-        } else {
-            ws.inliers_next.fill(true);
         }
         if margin > 0.0 {
             // Cutoff proximity: a residual this close to the cutoff could
@@ -444,6 +452,119 @@ mod tests {
         assert_eq!(new.inliers, old.inliers);
         assert!((new.fit.slope - old.fit.slope).abs() <= 1e-9 * old.fit.slope.abs().max(1e-12));
         assert!((new.fit.intercept - old.fit.intercept).abs() <= 1e-6);
+    }
+
+    /// The reject-refit loop's inlier mask and sensitivity flag, computed
+    /// the long way: every rank sorted, the inlier floor and its
+    /// boundary residuals read off every iteration.
+    fn sorted_rank_reference(
+        xs: &[f64],
+        ys: &[f64],
+        cfg: &RobustFitConfig,
+        margin: f64,
+    ) -> (Vec<bool>, bool) {
+        let n = xs.len();
+        let min_inliers = ((n as f64 * cfg.min_inlier_fraction).ceil() as usize).max(2);
+        let mut current = linfit::theil_sen(xs, ys).unwrap();
+        let mut all = OlsSums::anchored(xs[0]);
+        for (&x, &y) in xs.iter().zip(ys) {
+            all.add(x, y);
+        }
+        let (mut inliers, mut sensitive) = (vec![true; n], false);
+        for _ in 0..cfg.max_iterations {
+            let resid = current.residuals(xs, ys);
+            let abs: Vec<f64> = resid.iter().map(|r| r.abs()).collect();
+            let scale = (stats::mad(&resid).unwrap_or(0.0) * stats::MAD_TO_SIGMA)
+                .max(cfg.scale_floor);
+            let cutoff = cfg.threshold * scale;
+            let mut next: Vec<bool> = abs.iter().map(|&a| a <= cutoff).collect();
+            let mut ranks: Vec<usize> = (0..n).collect();
+            ranks.sort_by(|&a, &b| abs[a].total_cmp(&abs[b]).then(a.cmp(&b)));
+            if min_inliers < n {
+                for &i in &ranks[..min_inliers] {
+                    next[i] = true;
+                }
+                let (last, after) = (abs[ranks[min_inliers - 1]], abs[ranks[min_inliers]]);
+                if margin > 0.0 {
+                    sensitive |= after - last < margin && after > cutoff - margin;
+                }
+            } else {
+                next.fill(true);
+            }
+            if margin > 0.0 {
+                sensitive |= abs.iter().any(|&a| (a - cutoff).abs() < margin);
+            }
+            let mut sums = all;
+            for (i, &keep) in next.iter().enumerate() {
+                if !keep {
+                    sums.remove(xs[i], ys[i]);
+                }
+            }
+            let (slope, intercept) = sums.solve().unwrap();
+            current = LineFit { slope, intercept, ..current };
+            let converged = next == inliers;
+            inliers = next;
+            if converged {
+                break;
+            }
+        }
+        (inliers, sensitive)
+    }
+
+    /// The loop skips the rank-floor select whenever it can change no
+    /// mask entry and no probe outcome. Against the sorted-rank
+    /// reference, the masks and sensitivity flags agree on clean lines,
+    /// heavy multipath (floor-bound masks), exact ties and every probe
+    /// margin, and a nonzero margin never changes the fit.
+    #[test]
+    fn skipped_rank_select_matches_sorted_rank_reference() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let cfg = RobustFitConfig::default();
+        let mut ws = FitWorkspace::default();
+        let (mut floor_bound, mut sensitive_seen) = (0, 0);
+        for case in 0..400 {
+            let n = 5 + case % 56;
+            let xs: Vec<f64> = (0..n).map(|i| 902.75e6 + 0.5e6 * i as f64).collect();
+            let noise = [0.0, 0.002, 0.01, 0.05][case % 4];
+            let outliers = [0.0, 0.3, 0.6, 0.85][(case / 4) % 4];
+            let ys: Vec<f64> = xs
+                .iter()
+                .map(|&x| {
+                    let y = 4e-8 * (x - 9e8) + 0.3 + noise * (next() - 0.5);
+                    if next() < outliers {
+                        y + 0.5 + next()
+                    } else if noise == 0.0 && next() < 0.3 {
+                        // Exact ties among the residuals.
+                        4e-8 * (x - 9e8) + 0.3
+                    } else {
+                        y
+                    }
+                })
+                .collect();
+            let (plain, _) =
+                robust_line_fit_with_sensitivity(&mut ws, &xs, &ys, &cfg, 0.0).unwrap();
+            let plain_mask = ws.inlier_mask().to_vec();
+            for margin in [0.0, 1e-9, 1e-6, 1e-3, 0.02, 0.5] {
+                let (summary, sensitive) =
+                    robust_line_fit_with_sensitivity(&mut ws, &xs, &ys, &cfg, margin).unwrap();
+                let (mask, want) = sorted_rank_reference(&xs, &ys, &cfg, margin);
+                assert_eq!(ws.inlier_mask(), &mask[..], "case {case} margin {margin}");
+                assert_eq!(sensitive, want, "case {case} margin {margin}");
+                assert_eq!(summary, plain, "case {case}: the probe changed the fit");
+                assert_eq!(ws.inlier_mask(), &plain_mask[..]);
+                sensitive_seen += sensitive as usize;
+            }
+            let min_inliers = ((n as f64 * cfg.min_inlier_fraction).ceil() as usize).max(2);
+            floor_bound += (plain.inlier_count == min_inliers) as usize;
+        }
+        assert!(floor_bound >= 5, "{floor_bound} floor-bound cases");
+        assert!(sensitive_seen > 100, "{sensitive_seen} sensitive probes");
     }
 }
 

@@ -52,10 +52,9 @@
 use std::collections::VecDeque;
 use std::f64::consts::{FRAC_PI_2, PI};
 
-use crate::linfit::{FitError, LineFit};
+use crate::linfit::{from_order_key, order_key, FitError, LineFit};
 use crate::preprocess::{
-    preprocess_reads_with, wrapped_distance, ChannelObservation, PreprocessConfig,
-    PreprocessError, RawRead,
+    preprocess_reads_with, ChannelObservation, PreprocessConfig, PreprocessError, RawRead,
 };
 use crate::robust::{robust_line_fit_seeded, RobustFitConfig, RobustSummary};
 use crate::trig::{self, hit, PhasorRecurrence, TrigProvider};
@@ -123,6 +122,9 @@ pub struct StreamingStats {
     /// Exact per-channel sum re-accumulations (drift budget exhausted,
     /// conditioning floor crossed, or post-fallback resync).
     pub rebuilds: u64,
+    /// Reads [`StreamingWindow::push`] dropped because their phase,
+    /// frequency, RSSI or timestamp was NaN or infinite.
+    pub rejected: u64,
 }
 
 /// Errors from [`StreamingWindow::extract_into`].
@@ -187,6 +189,12 @@ struct StoredRead {
 struct ChannelState {
     chan: usize,
     fifo: VecDeque<StoredRead>,
+    /// Frequency and timestamp of the FIFO head read (the channel's
+    /// frequency in the batch path, and its expiry time), kept current on
+    /// push and expiry so ordering, emit and expiry never follow the FIFO
+    /// head.
+    front_freq: f64,
+    front_t: f64,
     count: usize,
     sum_rssi: f64,
     acc_sin: f64,
@@ -210,7 +218,7 @@ struct ChannelState {
     fold_cos: f64,
     /// The axis every retained read's fold bit was classified against.
     fold_axis: f64,
-    /// Lower bound on `min |wrapped_distance(p, fold_axis) − π/2|` over
+    /// Lower bound on `min |angle::distance(p, fold_axis) − π/2|` over
     /// the retained reads: while the current axis sits closer to
     /// `fold_axis` than this, no fold selection can have flipped and the
     /// cached sums are exactly the sums a fresh classification would
@@ -262,7 +270,8 @@ pub struct StreamingWindow {
     /// channel id → index into `channels` (`u32::MAX` = never seen).
     slot_of: Vec<u32>,
     channels: Vec<ChannelState>,
-    /// Kept channel indices sorted by (frequency, channel id).
+    /// Kept channel indices sorted by (frequency, channel id); reused
+    /// across advances while the kept set and its order hold.
     order: Vec<usize>,
     /// Unwrap scratch in sorted order.
     phase_col: Vec<f64>,
@@ -302,24 +311,27 @@ pub struct StreamingWindow {
 /// a fixed slope interval chosen to cover the median rank(s) with
 /// [`BAND_PAD`] ranks of slack on each side, plus the exact count of
 /// valid slopes below the interval. While the abscissae are unchanged the
-/// median *ranks* are fixed, so each query is a coverage check plus a
-/// small select inside the band — and every pair refresh adjusts the
-/// below-count or band membership in O(1). The band partitions the
-/// multiset by value, so the in-band selection reads out exactly the
-/// order statistics [`theil_sen_with`](crate::linfit::theil_sen_with)
-/// computes, keeping the slope bit-identical to the batch enumeration;
-/// when churn walks the median rank out of the band (or bloats it), the
-/// band is re-derived from the slope matrix by quickselect — the same
-/// cost the batch path pays every advance.
+/// median *ranks* are fixed, and the band is kept sorted, so each query is
+/// a coverage check plus an index into the band — and every pair refresh
+/// adjusts the below-count in O(1) or, for the few pairs inside the
+/// interval, moves one band entry.
+///
+/// No slope matrix is stored: a refreshed pair's outgoing slope is
+/// recomputed from the previous advance's column snapshot — the same
+/// expression on the same operands as when it entered the multiset, so
+/// the same bits. The band partitions the multiset by value, so its sorted
+/// entries at the median ranks are exactly the order statistics
+/// [`theil_sen_with`](crate::linfit::theil_sen_with) computes, keeping the
+/// slope bit-identical to the batch enumeration; when churn walks the
+/// median rank out of the band (or bloats it), the band is re-derived
+/// from the columns by quickselect — about the cost the batch path pays
+/// every advance.
 #[derive(Debug, Default)]
 struct SlopeCache {
-    /// Bitwise snapshot of the previous advance's fit columns.
+    /// Bitwise snapshot of the previous advance's fit columns; every
+    /// multiset member is a [`pair_slope`] over them.
     xs: Vec<f64>,
     ys: Vec<f64>,
-    /// Flat upper-triangular pairwise slopes in the `(i, j > i)`
-    /// lexicographic order the batch enumeration uses; NaN marks the
-    /// `dx == 0` pairs the batch enumeration skips entirely.
-    slopes: Vec<f64>,
     /// Band interval (inclusive on both ends). Values strictly below
     /// `band_lo` are counted in `below`; values in `[band_lo, band_hi]`
     /// live in `members`; values above are only implied.
@@ -327,10 +339,12 @@ struct SlopeCache {
     band_hi: f64,
     /// Number of valid slopes strictly below `band_lo`.
     below: usize,
-    /// The band's member values, unordered (a value sub-multiset).
-    members: Vec<f64>,
-    /// Number of valid (non-NaN) slopes in the multiset; depends only on
-    /// the abscissae, so it is constant between full rebuilds.
+    /// The band's member values (a value sub-multiset) as ascending
+    /// IEEE total-order integer keys, so band searches compare plain
+    /// integers and vectorize.
+    members: Vec<u64>,
+    /// Number of valid (`dx ≠ 0`) pair slopes in the multiset; depends
+    /// only on the abscissae, so it is constant between full rebuilds.
     valid_count: usize,
     /// Band re-derivation scratch.
     scratch: Vec<f64>,
@@ -353,14 +367,33 @@ const BAND_PAD: usize = 48;
 /// re-derivations).
 const BAND_BLOAT_LIMIT: usize = 384;
 
-
-/// One pairwise Theil–Sen slope, NaN when the abscissae coincide.
-fn pair_slope(xs: &[f64], ys: &[f64], i: usize, j: usize) -> f64 {
-    let dx = xs[j] - xs[i];
+/// The Theil–Sen slope of the pair `a < b`, `(yb − ya) / (xb − xa)` —
+/// the batch enumeration's expression — or NaN when the abscissae
+/// coincide (a pair the batch enumeration skips).
+#[inline(always)]
+fn pair_slope(xa: f64, ya: f64, xb: f64, yb: f64) -> f64 {
+    let dx = xb - xa;
     if dx.abs() > 0.0 {
-        (ys[j] - ys[i]) / dx
+        (yb - ya) / dx
     } else {
         f64::NAN
+    }
+}
+
+/// Column `i` of the pairwise slopes over `(xs, ys)`: `out[j]` becomes
+/// the [`pair_slope`] of `(min(i, j), max(i, j))`, or NaN for `j == i`
+/// and for a `j < i` set in `skip`. Straight-line selects, so the
+/// divisions vectorize.
+#[inline(always)]
+fn column_slopes(out: &mut [f64], xs: &[f64], ys: &[f64], i: usize, skip: &[bool]) {
+    let n = xs.len();
+    let (xi, yi) = (xs[i], ys[i]);
+    let (below, above) = out[..n].split_at_mut(i);
+    for (((o, &x), &y), &s) in below.iter_mut().zip(&xs[..i]).zip(&ys[..i]).zip(&skip[..i]) {
+        *o = if s { f64::NAN } else { pair_slope(x, y, xi, yi) };
+    }
+    for ((o, &x), &y) in above.iter_mut().zip(&xs[i..n]).zip(&ys[i..n]) {
+        *o = pair_slope(xi, yi, x, y);
     }
 }
 
@@ -370,7 +403,7 @@ impl SlopeCache {
     /// recomputing only pairs that touch a column whose value changed
     /// since the previous call. Falls back to a full rebuild when the
     /// abscissae changed (channel membership / order) or most columns
-    /// moved (e.g. a global π vote flip).
+    /// moved (e.g. a global π flip).
     fn median_slope(&mut self, xs: &[f64], ys: &[f64]) -> Result<f64, FitError> {
         if xs.len() != ys.len() {
             return Err(FitError::LengthMismatch);
@@ -399,60 +432,60 @@ impl SlopeCache {
             for &i in &self.changed {
                 self.changed_flag[i] = true;
             }
-            for c in 0..self.changed.len() {
-                let i = self.changed[c];
-                self.ys[i] = ys[i];
+            self.scratch.clear();
+            self.scratch.resize(2 * n, 0.0);
+            let (olds, news) = self.scratch.split_at_mut(n);
+            let (lo, hi) = (self.band_lo, self.band_hi);
+            for &i in &self.changed {
+                // Each pair between two changed columns is refreshed once,
+                // with the smaller index. The outgoing slopes entered the
+                // multiset as this very expression over the snapshot, so
+                // they have the same bits. Pair validity depends only on
+                // the (unchanged) abscissae, so old and new are NaN
+                // together and `valid_count` is preserved; NaN fails every
+                // interval compare, so skipped pairs are no-ops.
+                column_slopes(olds, xs, &self.ys, i, &self.changed_flag);
+                column_slopes(news, xs, ys, i, &self.changed_flag);
+                // Branch-free (a pair's side of the band is a coin flip
+                // to a branch predictor): count the moves across
+                // `band_lo`, and gather the in-band values in place — each
+                // is read before its slot can be overwritten.
+                let (mut gone, mut came, mut below) = (0, 0, self.below);
                 for j in 0..n {
-                    // Pairs between two changed columns are refreshed once,
-                    // when the smaller index is being processed.
-                    if j == i || (self.changed_flag[j] && j < i) {
-                        continue;
-                    }
-                    let (a, b) = if i < j { (i, j) } else { (j, i) };
-                    let idx = a * (2 * n - a - 1) / 2 + (b - a - 1);
-                    let old = self.slopes[idx];
-                    let new = pair_slope(xs, ys, a, b);
-                    self.slopes[idx] = new;
-                    // Pair validity depends only on the (unchanged)
-                    // abscissae, so old and new are NaN together and
-                    // `valid_count` is preserved; NaN fails both interval
-                    // compares, so invalid pairs fall through as no-ops.
-                    debug_assert_eq!(old.is_nan(), new.is_nan());
-                    if old < self.band_lo {
-                        self.below -= 1;
-                    } else if old <= self.band_hi {
-                        let pos = self
-                            .members
-                            .iter()
-                            .position(|&v| v == old)
-                            .expect("band member missing");
-                        self.members.swap_remove(pos);
-                    }
-                    if new < self.band_lo {
-                        self.below += 1;
-                    } else if new <= self.band_hi {
-                        self.members.push(new);
-                    }
+                    let (old, new) = (olds[j], news[j]);
+                    below = below + (new < lo) as usize - (old < lo) as usize;
+                    olds[gone] = old;
+                    gone += ((old >= lo) & (old <= hi)) as usize;
+                    news[came] = new;
+                    came += ((new >= lo) & (new <= hi)) as usize;
                 }
+                self.below = below;
+                // A member's index is the count of smaller keys: one
+                // vectorized compare pass instead of a search that
+                // mispredicts at every probe.
+                for &old in &olds[..gone] {
+                    let key = order_key(old.to_bits());
+                    let pos = self.members.iter().filter(|&&k| k < key).count();
+                    assert_eq!(self.members.get(pos), Some(&key), "band member missing");
+                    self.members.remove(pos);
+                }
+                for &new in &news[..came] {
+                    let key = order_key(new.to_bits());
+                    let pos = self.members.iter().filter(|&&k| k < key).count();
+                    self.members.insert(pos, key);
+                }
+            }
+            for &i in &self.changed {
+                self.ys[i] = ys[i];
             }
         } else {
             self.xs.clear();
             self.xs.extend_from_slice(xs);
             self.ys.clear();
             self.ys.extend_from_slice(ys);
-            self.slopes.clear();
-            self.slopes.reserve(n * (n - 1) / 2);
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    self.slopes.push(pair_slope(xs, ys, i, j));
-                }
-            }
-            self.valid_count = self.slopes.iter().filter(|v| !v.is_nan()).count();
             self.valid = true;
-            if self.valid_count > 0 {
-                self.rebuild_band();
-                band_fresh = true;
-            }
+            self.rebuild_band();
+            band_fresh = true;
         }
         let m = self.valid_count;
         if m == 0 {
@@ -472,55 +505,61 @@ impl SlopeCache {
         {
             self.rebuild_band();
         }
-        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite slopes");
-        let k1 = r1 - self.below;
-        let median = if m % 2 == 1 {
-            let (_, v, _) = self.members.select_nth_unstable_by(k1, cmp);
-            *v
-        } else {
-            // Mirror `stats::median_in_place`: select the upper middle,
-            // then the lower middle is the max of the left partition
-            // (k1 ≥ 1 because rank r0 = r1 - 1 also sits at or after
-            // `below`). Equal selected values are bit-identical — the
-            // multiset holds no -0.0 (ascending abscissae make tied-y
-            // slopes exactly +0.0).
-            let (left, v, _) = self.members.select_nth_unstable_by(k1, cmp);
-            let low = *left.iter().max_by(|a, b| cmp(a, b)).expect("k1 >= 1");
-            (low + *v) / 2.0
-        };
-        Ok(median)
+        // The band holds ranks `below..below + len` in ascending order.
+        // Equal order statistics are bit-identical to the batch median's —
+        // the multiset holds no -0.0 (ascending abscissae make tied-y
+        // slopes exactly +0.0).
+        let value = |rank: usize| f64::from_bits(from_order_key(self.members[rank - self.below]));
+        Ok(if m % 2 == 1 { value(r1) } else { (value(r0) + value(r1)) / 2.0 })
     }
 
-    /// Re-derive the band interval, below-count, and member sub-multiset
-    /// from the slope matrix: quickselect the padded rank endpoints, then
-    /// one partition pass. Requires `valid_count > 0`.
+    /// Re-derive `valid_count` and the band interval, below-count and
+    /// sorted member sub-multiset from the column snapshot: enumerate the
+    /// valid pair slopes into the scratch, quickselect the padded rank
+    /// endpoints, then one partition pass. Leaves the band untouched when
+    /// no pair is valid.
     fn rebuild_band(&mut self) {
-        let m = self.valid_count;
+        let (xs, ys) = (&self.xs, &self.ys);
+        let n = xs.len();
+        self.scratch.clear();
+        self.scratch.reserve(n * (n - 1) / 2);
+        for i in 0..n {
+            let (xi, yi) = (xs[i], ys[i]);
+            self.scratch.extend(
+                xs[i + 1..].iter().zip(&ys[i + 1..]).map(|(&x, &y)| pair_slope(xi, yi, x, y)),
+            );
+        }
+        self.scratch.retain(|v| !v.is_nan());
+        let m = self.scratch.len();
+        self.valid_count = m;
+        if m == 0 {
+            return;
+        }
         let (r0, r1) = ((m - 1) / 2, m / 2);
         let lo_rank = r0.saturating_sub(BAND_PAD);
         let hi_rank = (r1 + BAND_PAD).min(m - 1);
-        self.scratch.clear();
-        self.scratch.extend(self.slopes.iter().copied().filter(|v| !v.is_nan()));
-        debug_assert_eq!(self.scratch.len(), m);
-        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite slopes");
-        let (_, v_lo, upper) = self.scratch.select_nth_unstable_by(lo_rank, cmp);
+        let (_, v_lo, upper) = self.scratch.select_nth_unstable_by(lo_rank, f64::total_cmp);
         self.band_lo = *v_lo;
         self.band_hi = if hi_rank > lo_rank {
-            let (_, v_hi, _) = upper.select_nth_unstable_by(hi_rank - lo_rank - 1, cmp);
+            let (_, v_hi, _) = upper.select_nth_unstable_by(hi_rank - lo_rank - 1, f64::total_cmp);
             *v_hi
         } else {
             self.band_lo
         };
+        // Branch-free partition: count the values below the band and
+        // gather the band in place at the front of the scratch.
         let (band_lo, band_hi) = (self.band_lo, self.band_hi);
-        self.below = 0;
-        self.members.clear();
-        for &v in &self.slopes {
-            if v < band_lo {
-                self.below += 1;
-            } else if v <= band_hi {
-                self.members.push(v);
-            }
+        let (mut below, mut len) = (0, 0);
+        for k in 0..m {
+            let v = self.scratch[k];
+            below += (v < band_lo) as usize;
+            self.scratch[len] = v;
+            len += ((v >= band_lo) & (v <= band_hi)) as usize;
         }
+        self.below = below;
+        self.members.clear();
+        self.members.extend(self.scratch[..len].iter().map(|v| order_key(v.to_bits())));
+        self.members.sort_unstable();
     }
 }
 
@@ -568,7 +607,17 @@ impl StreamingWindow {
     /// sums in O(1). Reads must arrive in nondecreasing timestamp order
     /// (the order a reader stream delivers them), which keeps every
     /// per-channel sum in the batch summation order.
+    ///
+    /// A read whose phase, frequency, RSSI or timestamp is NaN or infinite
+    /// is dropped and counted in [`StreamingStats::rejected`]: the window
+    /// then holds exactly the clean reads, and advances give the same
+    /// output as a stream without the bad read.
     pub fn push(&mut self, read: &RawRead) {
+        let fields = [read.phase, read.frequency_hz, read.rssi_dbm, read.timestamp_s];
+        if !fields.iter().all(|v| v.is_finite()) {
+            self.stats.rejected += 1;
+            return;
+        }
         let doubled = self.config.preprocess.correct_pi_jumps;
         let mut stored = self.compute_phasors(read, doubled);
         let s = self.slot(read.channel);
@@ -580,7 +629,7 @@ impl StreamingWindow {
         // long as no selection has flipped (checked at extract via the
         // cached minimum margins).
         if doubled && ch.fold_cache_valid {
-            let dist = wrapped_distance(read.phase, ch.fold_axis);
+            let dist = angle::distance(read.phase, ch.fold_axis);
             let m = (dist - FRAC_PI_2).abs();
             if m < ch.fold_min_margin {
                 ch.fold_min_margin = m;
@@ -595,7 +644,7 @@ impl StreamingWindow {
             }
         }
         if doubled && ch.vote_cache_valid {
-            let dist = wrapped_distance(read.phase, ch.vote_axis);
+            let dist = angle::distance(read.phase, ch.vote_axis);
             let m = (dist - FRAC_PI_2).abs();
             if m < ch.vote_min_margin {
                 ch.vote_min_margin = m;
@@ -604,6 +653,10 @@ impl StreamingWindow {
             if stored.vote_in {
                 ch.votes_axis += 1;
             }
+        }
+        if ch.fifo.is_empty() {
+            ch.front_freq = read.frequency_hz;
+            ch.front_t = read.timestamp_s;
         }
         ch.fifo.push_back(stored);
         ch.count += 1;
@@ -626,7 +679,10 @@ impl StreamingWindow {
     pub fn expire_before(&mut self, cutoff_s: f64) -> usize {
         let mut removed = 0usize;
         for ch in &mut self.channels {
-            let mut changed = false;
+            // The head's timestamp decides whether anything expires.
+            if ch.count == 0 || ch.front_t >= cutoff_s {
+                continue;
+            }
             while let Some(front) = ch.fifo.front() {
                 if front.read.timestamp_s >= cutoff_s {
                     break;
@@ -651,16 +707,18 @@ impl StreamingWindow {
                 ch.drifted = true;
                 ch.drift_ops += 1;
                 self.stats.drift_ops += 1;
-                changed = true;
                 removed += 1;
             }
-            if changed {
-                ch.dirty = true;
-                if ch.fifo.is_empty() {
-                    ch.reset_exact();
-                } else if ch.drift_ops >= self.config.max_drift_ops {
-                    Self::rebuild_channel(ch);
-                    self.stats.rebuilds += 1;
+            ch.dirty = true;
+            match ch.fifo.front() {
+                None => ch.reset_exact(),
+                Some(front) => {
+                    ch.front_freq = front.read.frequency_hz;
+                    ch.front_t = front.read.timestamp_s;
+                    if ch.drift_ops >= self.config.max_drift_ops {
+                        Self::rebuild_channel(ch);
+                        self.stats.rebuilds += 1;
+                    }
                 }
             }
         }
@@ -710,8 +768,8 @@ impl StreamingWindow {
         // per-channel fold sums accumulate in FIFO (= batch) order.
         let mut kept = 0usize;
         for ch in &mut self.channels {
-            let keep = ch.count >= min_reads;
-            if ch.count == 0 || !keep {
+            // `min_reads ≥ 1`, so a kept channel is never empty.
+            if ch.count < min_reads {
                 continue;
             }
             kept += 1;
@@ -734,7 +792,7 @@ impl StreamingWindow {
                     // drifted channel whose fold resultant has cancelled
                     // is reclassified instead (exact re-summation), like
                     // the conditioning rebuild of the first-pass sums.
-                    let shift = wrapped_distance(ch.axis, ch.fold_axis);
+                    let shift = angle::distance(ch.axis, ch.fold_axis);
                     let fr_cached = ((ch.fold_sin * ch.fold_sin + ch.fold_cos * ch.fold_cos)
                         .sqrt()
                         / n)
@@ -751,7 +809,7 @@ impl StreamingWindow {
                         let mut min_m = f64::INFINITY;
                         let mut margin_ok = true;
                         for sr in &mut ch.fifo {
-                            let dist = wrapped_distance(sr.read.phase, ch.axis);
+                            let dist = angle::distance(sr.read.phase, ch.axis);
                             let m = (dist - FRAC_PI_2).abs();
                             if m < min_m {
                                 min_m = m;
@@ -793,25 +851,27 @@ impl StreamingWindow {
             return Err(StreamingError::Preprocess(PreprocessError::NoUsableChannels));
         }
 
-        // Kept channels sorted ascending by (frequency, channel id) — the
-        // batch slot ordering.
-        self.order.clear();
-        self.order.extend(
-            self.channels
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.count >= min_reads && c.count > 0)
-                .map(|(i, _)| i),
-        );
+        // Kept channels ascending by (frequency, channel id) — the batch
+        // slot ordering. Channel ids are distinct, so the order is strict
+        // and unique. Last advance's order holds distinct slots, so when
+        // it has `kept` entries that are all still kept it is the kept
+        // set, and if it is still strictly ascending it *is* this
+        // advance's order. Frequencies are finite (`push` drops
+        // non-finite reads).
         {
             let channels = &self.channels;
-            self.order.sort_unstable_by(|&a, &b| {
-                let fa = channels[a].fifo.front().expect("kept").read.frequency_hz;
-                let fb = channels[b].fifo.front().expect("kept").read.frequency_hz;
-                fa.partial_cmp(&fb)
-                    .expect("finite frequencies")
-                    .then_with(|| channels[a].chan.cmp(&channels[b].chan))
-            });
+            let key = |s: usize| (channels[s].front_freq, channels[s].chan);
+            let ascending = |w: &[usize]| key(w[0]) < key(w[1]);
+            let reusable = self.order.len() == kept
+                && self.order.iter().all(|&s| channels[s].count >= min_reads)
+                && self.order.windows(2).all(ascending);
+            if !reusable {
+                self.order.clear();
+                self.order.extend((0..channels.len()).filter(|&s| channels[s].count >= min_reads));
+                self.order.sort_unstable_by(|&a, &b| {
+                    key(a).partial_cmp(&key(b)).expect("finite frequencies")
+                });
+            }
         }
 
         // Cross-channel unwrap. The jump decisions flip only when a
@@ -851,7 +911,7 @@ impl StreamingWindow {
             for (k, &s) in self.order.iter().enumerate() {
                 let unwrapped = self.phase_col[k];
                 let ch = &mut self.channels[s];
-                let shift = wrapped_distance(unwrapped, ch.vote_axis);
+                let shift = angle::distance(unwrapped, ch.vote_axis);
                 if ch.vote_cache_valid && shift < ch.vote_min_margin {
                     ch.vote_margin_ok = ch.vote_min_margin - shift > margin;
                 } else {
@@ -859,7 +919,7 @@ impl StreamingWindow {
                     let mut min_m = f64::INFINITY;
                     let mut margin_ok = true;
                     for sr in &mut ch.fifo {
-                        let dist = wrapped_distance(sr.read.phase, unwrapped);
+                        let dist = angle::distance(sr.read.phase, unwrapped);
                         let m = (dist - FRAC_PI_2).abs();
                         if m < min_m {
                             min_m = m;
@@ -897,7 +957,7 @@ impl StreamingWindow {
         out.clear();
         for (k, &s) in self.order.iter().enumerate() {
             let ch = &self.channels[s];
-            let freq = ch.fifo.front().expect("kept").read.frequency_hz;
+            let freq = ch.front_freq;
             let phase = self.phase_col[k];
             out.push(ChannelObservation {
                 channel: ch.chan,
@@ -1428,5 +1488,246 @@ mod tests {
                 _ => unreachable!(),
             }
         }
+    }
+
+    /// The cached channel order follows a head frequency that changes on
+    /// expiry while the kept set stays the same: channel 3's later dwells
+    /// sit between channels 4 and 5 (on the same phase line), so once its
+    /// first dwell expires the batch order moves it — on the incremental
+    /// path, not only through a fallback.
+    #[test]
+    fn cached_order_follows_head_frequency_changes() {
+        let cfg = StreamingConfig {
+            preprocess: PreprocessConfig { trig: TrigProvider::Libm, ..Default::default() },
+            ..Default::default()
+        };
+        let mut reads = stream(4, 6, 4);
+        for r in reads.iter_mut().filter(|r| r.channel == 3 && r.timestamp_s >= 1.2) {
+            r.frequency_hz = 904.95e6;
+            r.phase = angle::wrap_tau(r.phase + 1.1 * 1.4);
+        }
+        let mut win = StreamingWindow::new(cfg);
+        let mut out = Vec::new();
+        let mut last: Vec<usize> = Vec::new();
+        let mut moved_incrementally = 0;
+        for (k, r) in reads.iter().enumerate() {
+            win.push(r);
+            if (k + 1) % 4 != 0 || k < 24 {
+                continue;
+            }
+            let cutoff = r.timestamp_s - 1.2;
+            win.expire_before(cutoff);
+            let extract = win.extract_into(&mut out).unwrap();
+            let retained: Vec<RawRead> =
+                reads[..=k].iter().filter(|r| r.timestamp_s >= cutoff).copied().collect();
+            let (batch, _, _) = batch_oracle(&retained, &cfg);
+            let order: Vec<usize> = out.iter().map(|o| o.channel).collect();
+            assert_eq!(order, batch.iter().map(|o| o.channel).collect::<Vec<_>>(), "read {k}");
+            if !last.is_empty() && order != last && !extract.fallback {
+                moved_incrementally += 1;
+            }
+            last = order;
+        }
+        assert!(moved_incrementally > 0, "the order never moved on the incremental path");
+    }
+
+    /// One advance drops channel 0 below `min_reads` (expiry) and lifts
+    /// channel 9 to it (push): the kept set has the same size and the
+    /// previous order is still ascending, but it is not this advance's
+    /// order.
+    #[test]
+    fn cached_order_follows_a_same_size_kept_set_swap() {
+        let cfg = StreamingConfig {
+            preprocess: PreprocessConfig {
+                trig: TrigProvider::Libm,
+                min_reads_per_channel: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut reads = stream(1, 8, 3);
+        reads.push(read(9, 0.3 + 1.1 * 9.0, 1.65));
+        let mut win = StreamingWindow::new(cfg);
+        for r in &reads {
+            win.push(r);
+        }
+        let mut out = Vec::new();
+        win.extract_into(&mut out).unwrap();
+        assert_eq!(out.iter().map(|o| o.channel).collect::<Vec<_>>(), (0..8).collect::<Vec<_>>());
+
+        reads.push(read(9, 0.31 + 1.1 * 9.0, 1.7));
+        win.push(reads.last().unwrap());
+        // Channel 0's reads sit at t ≈ 0.033, 0.1, 0.167: one survives.
+        win.expire_before(0.15);
+        win.extract_into(&mut out).unwrap();
+        let retained: Vec<RawRead> = reads.iter().filter(|r| r.timestamp_s >= 0.15).copied().collect();
+        let (batch, _, _) = batch_oracle(&retained, &cfg);
+        assert_eq!(out.len(), batch.len());
+        for (s, b) in out.iter().zip(&batch) {
+            assert_eq!(s.channel, b.channel);
+            assert_eq!(s.phase.to_bits(), b.phase.to_bits());
+            assert_eq!(s.read_count, b.read_count);
+        }
+        assert_eq!(out.iter().map(|o| o.channel).collect::<Vec<_>>(), [1, 2, 3, 4, 5, 6, 7, 9]);
+    }
+
+    /// Reads with a NaN or infinite phase, frequency, RSSI or timestamp
+    /// are dropped at push and counted; the window's output is bitwise
+    /// the output of the same stream without them, through expiry too
+    /// (an infinite timestamp would otherwise never expire).
+    #[test]
+    fn non_finite_reads_are_dropped_and_counted() {
+        let chans = 10;
+        let per = 6;
+        let reads = stream(3, chans, per);
+        let span = chans as f64 * 0.2;
+        let cfg = StreamingConfig::default();
+        let bad = |k: usize, t: f64| {
+            let mut r = read(k % chans, 1.0, t);
+            match k % 4 {
+                0 => r.phase = f64::NAN,
+                1 => r.frequency_hz = f64::INFINITY,
+                2 => r.rssi_dbm = f64::NEG_INFINITY,
+                _ => r.timestamp_s = f64::INFINITY,
+            }
+            r
+        };
+        let mut clean = StreamingWindow::new(cfg);
+        let mut dirty = StreamingWindow::new(cfg);
+        let (mut out_clean, mut out_dirty) = (Vec::new(), Vec::new());
+        let mut injected = 0u64;
+        for (i, r) in reads.iter().enumerate() {
+            clean.push(r);
+            dirty.push(r);
+            if i % 7 == 3 {
+                dirty.push(&bad(i, r.timestamp_s));
+                injected += 1;
+            }
+            if (i + 1) % per == 0 && i + 1 >= chans * per {
+                clean.expire_before(r.timestamp_s - span);
+                dirty.expire_before(r.timestamp_s - span);
+                let a = clean.extract_into(&mut out_clean).unwrap();
+                let b = dirty.extract_into(&mut out_dirty).unwrap();
+                assert_eq!(out_clean, out_dirty);
+                assert_eq!(clean.inlier_mask(), dirty.inlier_mask());
+                assert_eq!(a.raw_fit, b.raw_fit);
+                assert_eq!(a.robust, b.robust);
+                assert_eq!(clean.read_count(), dirty.read_count());
+            }
+        }
+        let (sc, sd) = (clean.take_stats(), dirty.take_stats());
+        assert_eq!(sd.rejected, injected);
+        assert_eq!(sc.rejected, 0);
+        assert_eq!(StreamingStats { rejected: 0, ..sd }, sc);
+    }
+
+    /// Bits of the batch Theil–Sen median slope over `(xs, ys)`.
+    fn theil_sen_oracle(xs: &[f64], ys: &[f64]) -> Result<u64, FitError> {
+        let mut ws = crate::workspace::FitWorkspace::default();
+        crate::linfit::theil_sen_with(&mut ws, xs, ys).map(|fit| fit.slope.to_bits())
+    }
+
+    /// The matrix-free slope cache against the batch Theil–Sen median,
+    /// bitwise, at every step of a random churn schedule: few-column
+    /// refreshes, drifts that walk the median rank out of the band, moves
+    /// onto the median line that bloat the band, membership and abscissa
+    /// changes, coincident abscissae, a global π flip, and tied ordinates
+    /// (zero slopes).
+    #[test]
+    fn slope_cache_churn_matches_theil_sen_bitwise() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let freq = |i: usize| 902.75e6 + 0.5e6 * i as f64;
+        // A power-of-two slope: points exactly on the line give exactly
+        // equal pair slopes (duplicate band keys).
+        let line = |x: f64| 0.25 + (x - 9e8) / 16_777_216.0;
+        let mut xs: Vec<f64> = (0..50).map(freq).collect();
+        let mut ys: Vec<f64> = xs.iter().map(|&x| line(x) + 0.5 * next()).collect();
+        let mut cache = SlopeCache::default();
+        let (mut rebuilds, mut walk_outs, mut bloats, mut incremental) = (0, 0, 0, 0);
+        let mut tied_band = 0;
+        for step in 0..600 {
+            let n = xs.len();
+            match step % 60 {
+                // Membership: drop or add a column (abscissae change).
+                10 if n > 30 => {
+                    let k = (next() * n as f64) as usize;
+                    xs.remove(k);
+                    ys.remove(k);
+                }
+                20 => {
+                    let x = freq(xs.len());
+                    xs.push(x);
+                    ys.push(line(x) + next());
+                }
+                // Coincident abscissae: the pair is skipped (NaN slope).
+                30 => xs[n / 2] = xs[n / 2 - 1],
+                31 => xs = (0..n).map(freq).collect(),
+                // Global π flip: every column moves.
+                40 => ys.iter_mut().for_each(|y| *y += PI),
+                // Tied ordinates: a block of exact zero slopes.
+                45..=47 => {
+                    for y in ys.iter_mut().skip(step % 60 - 45).step_by(3) {
+                        *y = 0.75;
+                    }
+                }
+                // Walk-out: tilt a few columns the same way, step after
+                // step, so the median slope drifts out of the band.
+                50..=59 => {
+                    for _ in 0..4 {
+                        let k = (next() * n as f64) as usize;
+                        ys[k] += 2e-7 * (xs[k] - xs[0]);
+                    }
+                }
+                // Bloat: put columns on the current median line (or
+                // exactly on the power-of-two line, for ties), so their
+                // pair slopes crowd the band.
+                0..=9 => {
+                    let slope = f64::from_bits(theil_sen_oracle(&xs, &ys).unwrap());
+                    for _ in 0..5 {
+                        let k = (next() * n as f64) as usize;
+                        ys[k] = if step % 2 == 0 {
+                            0.2 + slope * (xs[k] - xs[0])
+                        } else {
+                            line(xs[k])
+                        };
+                    }
+                }
+                // Steady state: one to three channels re-dwelt.
+                _ => {
+                    for _ in 0..1 + (next() * 3.0) as usize {
+                        let k = (next() * n as f64) as usize;
+                        ys[k] += 0.05 * (next() - 0.5);
+                    }
+                }
+            }
+            let before = (cache.valid, cache.band_lo, cache.band_hi, cache.members.len());
+            let same_xs = cache.xs == xs;
+            let got = cache.median_slope(&xs, &ys).map(f64::to_bits);
+            assert_eq!(got, theil_sen_oracle(&xs, &ys), "step {step}");
+            tied_band += cache.members.windows(2).any(|w| w[0] == w[1]) as usize;
+            if !same_xs || 2 * cache.changed.len() > xs.len() {
+                rebuilds += 1;
+            } else {
+                incremental += 1;
+                if before.0 && (before.1, before.2) != (cache.band_lo, cache.band_hi) {
+                    if before.3 > BAND_BLOAT_LIMIT / 2 {
+                        bloats += 1;
+                    } else {
+                        walk_outs += 1;
+                    }
+                }
+            }
+        }
+        assert!(rebuilds >= 30, "{rebuilds} full rebuilds");
+        assert!(incremental >= 400, "{incremental} incremental advances");
+        assert!(walk_outs > 0, "no band walk-out");
+        assert!(bloats > 0, "no bloat re-derivation");
+        assert!(tied_band > 50, "{tied_band} advances with tied band members");
     }
 }

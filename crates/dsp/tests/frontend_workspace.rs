@@ -459,3 +459,67 @@ fn check_backends_against_reference(reads: &[RawRead], pi_jumps: bool) {
         }
     }
 }
+
+/// A dwell-ordered window over `channels`, hopping through them in a
+/// scrambled order, with each channel's frequency given by `freq`.
+fn hop_window(channels: &[usize], freq: impl Fn(usize) -> f64, reads_per: usize) -> Vec<RawRead> {
+    let mut reads = Vec::new();
+    for k in 0..channels.len() {
+        // A permutation for every length used below (coprime to 7).
+        let hop = channels[(k * 7 + 3) % channels.len()];
+        for r in 0..reads_per {
+            let jump = if (hop + r).is_multiple_of(3) { std::f64::consts::PI } else { 0.0 };
+            let phase = 0.3 + 1.1 * hop as f64 + 0.01 * r as f64 + jump;
+            reads.push(RawRead { frequency_hz: freq(hop), ..plain_read(hop, phase) });
+        }
+    }
+    reads
+}
+
+/// The batch channel order is a (frequency, channel) sort of the kept
+/// slots. It must give the reference ordering bit for bit: an ascending
+/// plan, tied frequencies, a plan that descends or is scrambled against
+/// the ids, a dropped out-of-order channel, dense and sparse large ids,
+/// all through one reused workspace.
+#[test]
+fn batch_channel_order_matches_reference() {
+    let dense: Vec<usize> = (0..50).collect();
+    let spaced: Vec<usize> = (0..20).map(|c| 3 * c + 1).collect();
+    let sparse = [3usize, 1000, 70_000, 5, 250_000];
+    let plan = |c: usize| 902.75e6 + c as f64 * 0.5e6;
+    let descending = |c: usize| 927.25e6 - c as f64 * 0.5e6;
+    let scrambled = |c: usize| 902.75e6 + ((c * 17) % 53) as f64 * 0.5e6;
+    let tied = |c: usize| 902.75e6 + (c / 2) as f64 * 0.5e6;
+    let mut windows = Vec::new();
+    for ids in [&dense[..], &spaced[..], &sparse[..]] {
+        windows.push(hop_window(ids, plan, 3));
+        windows.push(hop_window(ids, descending, 3));
+        windows.push(hop_window(ids, scrambled, 3));
+        windows.push(hop_window(ids, tied, 3));
+    }
+    // Channel 7 is thin (dropped at min_reads 2) and out of order: only
+    // kept channels take part in the order.
+    let mut thin_out_of_order = hop_window(&dense[..20], plan, 2);
+    thin_out_of_order.retain(|r| r.channel != 7);
+    thin_out_of_order.push(RawRead { frequency_hz: 930e6, ..plain_read(7, 0.2) });
+    windows.push(thin_out_of_order);
+
+    let mut ws = FrontEndWorkspace::default();
+    let mut out = Vec::new();
+    for (w, reads) in windows.iter().enumerate() {
+        for min_reads in [1usize, 2] {
+            for pi_jumps in [true, false] {
+                let cfg = PreprocessConfig {
+                    correct_pi_jumps: pi_jumps,
+                    min_reads_per_channel: min_reads,
+                    trig: TrigProvider::Libm,
+                };
+                let actual = rfp_dsp::preprocess_reads_with(&mut ws, reads, &cfg, &mut out)
+                    .map(|()| out.clone());
+                let expected = reference::preprocess_reads(reads, &cfg);
+                let what = format!("window {w}, min_reads {min_reads}, pi_jumps {pi_jumps}");
+                assert_bitwise(&actual, &expected, &what);
+            }
+        }
+    }
+}

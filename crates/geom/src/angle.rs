@@ -9,7 +9,53 @@
 
 use std::f64::consts::{PI, TAU};
 
+/// Magnitude below which [`wrap_tau`] (and everything built on it)
+/// reduces by one fused multiply-add instead of calling libm's `fmod`.
+///
+/// Below `2³²` the quotient estimate `x · (1/τ)` is within `2⁻²⁰` of
+/// `x/τ`, so `q` = its nearest integer leaves `|x − q·τ| ≤ (½ + 2⁻²⁰)·τ`.
+/// That remainder is a multiple of `min(ulp(x), ulp(τ))` below `τ` in
+/// magnitude, hence representable, and the FMA returns it exactly.
+pub const EXACT_REDUCE_LIMIT: f64 = 4_294_967_296.0;
+
+/// `x − q·τ` for finite `|x| <` [`EXACT_REDUCE_LIMIT`], with `q` the
+/// estimated nearest integer to `x/τ`: an **exact** remainder in
+/// `(-τ, τ)` congruent to `x`. A zero remainder comes out `+0.0`.
+#[inline(always)]
+fn reduce_tau(x: f64) -> f64 {
+    let q = (x * (1.0 / TAU)).round_ties_even();
+    (-q).mul_add(TAU, x)
+}
+
+/// `rem_euclid`'s add of `τ` to a negative remainder `r ≡ x (mod τ)`,
+/// then [`wrap_tau`]'s `≥ τ` adjustment (a tiny negative `r` rounds
+/// `r + τ` to `τ` itself).
+///
+/// Given `f = x % τ` this is `x.rem_euclid(τ)` plus the adjustment. Given
+/// the exact remainder `r` from [`reduce_tau`] instead, `r − f ∈ {−τ, 0,
+/// τ}`: when `r = f + τ` (`f < 0`), `rem_euclid`'s rounded `f + τ` is
+/// exactly the representable `r`, kept here as is; when `r = f − τ`
+/// (`f ≥ 0`), `r + τ` is exactly `f`; when `r = f` both take the same
+/// branch and round `f + τ` identically. So both remainders give the same
+/// bits, except that a zero `r` is `+0.0` where `fmod` returns a zero
+/// with the sign of `x`.
+#[inline(always)]
+fn wrap_reduced(r: f64) -> f64 {
+    let w = if r < 0.0 { r + TAU } else { r };
+    if w >= TAU {
+        w - TAU
+    } else {
+        w
+    }
+}
+
 /// Wraps an angle into `[0, 2π)`.
+///
+/// Bit-identical to `theta.rem_euclid(2π)` (with a tiny negative input's
+/// rounded `2π` mapped to `0`), including `fmod`'s signed zero:
+/// `wrap_tau(-0.0)` and `wrap_tau(-k·2π)` are `-0.0`. Finite inputs below
+/// [`EXACT_REDUCE_LIMIT`] in magnitude are reduced without `fmod`; larger
+/// ones, NaN and ±∞ take `fmod` itself.
 ///
 /// ```
 /// use rfp_geom::angle::wrap_tau;
@@ -19,12 +65,11 @@ use std::f64::consts::{PI, TAU};
 /// ```
 #[inline]
 pub fn wrap_tau(theta: f64) -> f64 {
-    let w = theta.rem_euclid(TAU);
-    // rem_euclid can return TAU itself when theta is a tiny negative number.
-    if w >= TAU {
-        w - TAU
+    if theta.abs() < EXACT_REDUCE_LIMIT {
+        let r = reduce_tau(theta);
+        wrap_reduced(if r == 0.0 { 0.0f64.copysign(theta) } else { r })
     } else {
-        w
+        wrap_reduced(theta % TAU)
     }
 }
 
@@ -59,6 +104,20 @@ pub fn difference(a: f64, b: f64) -> f64 {
 #[inline]
 pub fn distance(a: f64, b: f64) -> f64 {
     difference(a, b).abs()
+}
+
+/// [`distance`] without its range check, for per-read loops: bit-identical
+/// to `distance(a, b)` whenever `|a − b| <` [`EXACT_REDUCE_LIMIT`]
+/// (unspecified otherwise, NaN and ±∞ included). It is straight-line
+/// selects with no call and no data-dependent branch, so a loop over it
+/// vectorizes; check the range for the whole loop and fall back to
+/// [`distance`] when it fails.
+#[inline(always)]
+pub fn distance_in_range(a: f64, b: f64) -> f64 {
+    let w = wrap_reduced(reduce_tau(a - b));
+    // The zero's sign, the one difference from `wrap_tau`, cannot reach
+    // the absolute value.
+    (if w > PI { w - TAU } else { w }).abs()
 }
 
 /// Signed difference between two *dipole* orientations, wrapped into

@@ -102,11 +102,11 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn observe(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
+        // The first bucket whose (ascending) bound holds `v` — the overflow
+        // bucket when none does, NaN included — counted without an early
+        // exit: where a search would stop is data-dependent, so its branch
+        // mispredicts.
+        let idx = self.bounds.len() - self.bounds.iter().filter(|&&b| v <= b).count();
         self.counts[idx] += 1;
         self.count += 1;
         self.sum += v;
@@ -347,6 +347,18 @@ mod tests {
         assert!((h.max() - 1e9).abs() < 1.0);
         let expect_sum: f64 = 0.5 + 1.0 + 1.5 + 10.0 + 99.9 + 100.0 + 100.1 + 1e9;
         assert!((h.sum() - expect_sum).abs() < 1e-6);
+    }
+
+    /// Non-finite values land where a first-bound-that-holds search puts
+    /// them: −∞ in the first bucket, +∞ and NaN (held by no bound) in the
+    /// overflow bucket.
+    #[test]
+    fn histogram_buckets_non_finite_values() {
+        let mut h = Histogram::new(BOUNDS);
+        for v in [f64::NEG_INFINITY, f64::INFINITY, f64::NAN] {
+            h.observe(v);
+        }
+        assert_eq!(h.bucket_counts(), &[1, 0, 0, 2]);
     }
 
     #[test]

@@ -146,21 +146,30 @@ pub fn absorb(other: &Recorder) {
     with_current(|r| r.merge_at_current(other));
 }
 
-/// RAII guard of one open span; created by [`span`]. Closes and credits
-/// the span on drop. Inert (and free beyond one thread-local check) when
-/// no recorder was installed at creation.
+/// RAII guard of one open span; created by [`span`] or [`timed_span`].
+/// Closes and credits the span on drop, and records its duration into the
+/// guard's latency histograms. Inert (and free beyond one thread-local
+/// check) when no recorder was installed at creation.
 #[must_use = "a span guard records on drop; binding it to _ closes it immediately"]
 #[derive(Debug)]
 pub struct SpanGuard {
     /// `None` when no recorder was active at creation.
     open: Option<(usize, Instant)>,
+    /// Histograms that also receive the span's duration, in microseconds.
+    histograms: &'static [usize],
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((idx, start)) = self.open.take() {
             let elapsed = start.elapsed();
-            with_current(|r| r.spans.exit(idx, elapsed));
+            let us = elapsed.as_secs_f64() * 1e6;
+            with_current(|r| {
+                r.spans.exit(idx, elapsed);
+                for &h in self.histograms {
+                    r.metrics.observe(h, us);
+                }
+            });
         }
     }
 }
@@ -169,9 +178,18 @@ impl Drop for SpanGuard {
 /// closes it. With no recorder installed the guard is inert.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
+    timed_span(name, &[])
+}
+
+/// [`span`] that also records the span's duration, in microseconds, into
+/// each histogram in `histograms` on close — one pair of clock reads
+/// where a span and [`time_histogram`] guards over the same scope would
+/// each read the clock twice.
+#[inline]
+pub fn timed_span(name: &'static str, histograms: &'static [usize]) -> SpanGuard {
     let mut open = None;
     with_current(|r| open = Some(r.spans.enter(name)));
-    SpanGuard { open: open.map(|idx| (idx, Instant::now())) }
+    SpanGuard { open: open.map(|idx| (idx, Instant::now())), histograms }
 }
 
 /// RAII guard that records its lifetime, in microseconds, into histogram
@@ -270,6 +288,20 @@ mod tests {
         });
         assert_eq!(rec.metrics.histogram(1).unwrap().count(), 1);
         assert_eq!(DEFS[1].kind, MetricKind::Histogram);
+    }
+
+    /// One clock pair serves the span and its histograms: each records
+    /// once, with the same duration.
+    #[test]
+    fn timed_span_credits_span_and_histograms() {
+        let ((), rec) = observe(DEFS, || {
+            let _s = timed_span("timed", &[1]);
+        });
+        let node = &rec.spans.nodes()[rec.spans.roots()[0]];
+        assert_eq!((node.name, node.count), ("timed", 1));
+        let h = rec.metrics.histogram(1).unwrap();
+        assert_eq!(h.count(), 1);
+        assert!((h.sum() - node.total_ns as f64 / 1e3).abs() < 1e-3);
     }
 
     #[test]
