@@ -7,18 +7,18 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("simulate") => commands::simulate(&args[1..]).map(Output::Stdout),
-        Some("sense") => run_sense(&args[1..]),
-        Some("stream") => commands::stream(&args[1..]).map(Output::Stdout),
-        Some("calibrate") => commands::calibrate(&args[1..]).map(Output::Stdout),
-        Some("help") | None => Ok(Output::Stdout(commands::usage())),
+        Some("simulate") => commands::simulate(&args[1..]),
+        Some("sense") => commands::sense_cli(&args[1..]),
+        Some("stream") => commands::stream(&args[1..]),
+        Some("calibrate") => commands::calibrate(&args[1..]),
+        Some("help") | None => Ok(commands::usage()),
         Some(other) => Err(commands::CommandError::Usage(format!(
             "unknown subcommand `{other}`\n\n{}",
             commands::usage()
         ))),
     };
     match result {
-        Ok(Output::Stdout(text)) => {
+        Ok(text) => {
             print!("{text}");
             ExitCode::SUCCESS
         }
@@ -27,64 +27,4 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-enum Output {
-    Stdout(String),
-}
-
-fn run_sense(args: &[String]) -> Result<Output, commands::CommandError> {
-    // `--trace`, `--warm` and `--tuned` are bare switches; split them out
-    // before the strict `--key value` parser sees the remainder.
-    let mut trace = false;
-    let mut warm = false;
-    let mut tuned = false;
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| match a.as_str() {
-            "--trace" => {
-                trace = true;
-                false
-            }
-            "--warm" => {
-                warm = true;
-                false
-            }
-            "--tuned" => {
-                tuned = true;
-                false
-            }
-            _ => true,
-        })
-        .cloned()
-        .collect();
-    let flags = commands::parse_flags(&rest)?;
-    let log_path = flags
-        .iter()
-        .find(|(k, _)| k == "log")
-        .map(|(_, v)| v.clone())
-        .ok_or_else(|| commands::CommandError::Usage("sense needs --log <file>".into()))?;
-    let log_text = std::fs::read_to_string(&log_path)?;
-    let calib_text = match flags.iter().find(|(k, _)| k == "calib") {
-        Some((_, path)) => Some(std::fs::read_to_string(path)?),
-        None => None,
-    };
-    let jobs: usize = match flags.iter().find(|(k, _)| k == "jobs") {
-        Some((_, v)) => v.parse().map_err(|_| {
-            commands::CommandError::Usage(
-                "--jobs expects a worker count (0 = all CPUs)".into(),
-            )
-        })?,
-        None => 1,
-    };
-    let metrics_path = flags.iter().find(|(k, _)| k == "metrics").map(|(_, v)| v.clone());
-    let (text, run) = commands::sense_observed(&log_text, calib_text.as_deref(), jobs, warm, tuned)?;
-    let run = run.with_meta("log", &log_path);
-    if let Some(path) = metrics_path {
-        rfp_obs::report::write_json(std::path::Path::new(&path), &run.to_json())?;
-    }
-    if trace {
-        eprint!("{}", run.summary());
-    }
-    Ok(Output::Stdout(text))
 }

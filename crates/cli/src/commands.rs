@@ -48,24 +48,54 @@ impl From<crate::log::LogError> for CommandError {
     }
 }
 
-/// Tiny flag parser: `--key value` pairs after the subcommand.
-pub fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, CommandError> {
-    let mut out = Vec::new();
+/// The flags of one subcommand: `--key value` pairs and bare `--switch`es.
+#[derive(Debug, Default)]
+pub struct Flags {
+    pairs: Vec<(String, String)>,
+    switches: Vec<String>,
+}
+
+impl Flags {
+    /// The value given to `--key`, if any.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// Whether the bare `--name` switch was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+}
+
+/// Strict flag parser for the arguments after a subcommand. `keys` take a
+/// value (`--key value`) and `switches` stand alone (`--switch`). An
+/// unknown flag, a stray argument, or a missing value — including a
+/// "value" that is itself a flag, as in `--log --jobs 2` — is a
+/// [`CommandError::Usage`] naming the flag.
+pub fn parse_flags(
+    args: &[String],
+    keys: &[&str],
+    switches: &[&str],
+) -> Result<Flags, CommandError> {
+    let mut flags = Flags::default();
     let mut it = args.iter();
     while let Some(k) = it.next() {
         let Some(key) = k.strip_prefix("--") else {
             return Err(CommandError::Usage(format!("unexpected argument `{k}`")));
         };
-        let Some(v) = it.next() else {
-            return Err(CommandError::Usage(format!("flag `--{key}` needs a value")));
-        };
-        out.push((key.to_string(), v.clone()));
+        if switches.contains(&key) {
+            flags.switches.push(key.to_string());
+            continue;
+        }
+        if !keys.contains(&key) {
+            return Err(CommandError::Usage(format!("unknown flag `--{key}`")));
+        }
+        match it.next() {
+            Some(v) if !v.starts_with("--") => flags.pairs.push((key.to_string(), v.clone())),
+            _ => return Err(CommandError::Usage(format!("flag `--{key}` needs a value"))),
+        }
     }
-    Ok(out)
-}
-
-fn flag<'a>(flags: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    flags.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    Ok(flags)
 }
 
 /// `simulate`: run an inventory round in the standard scene and return the
@@ -75,20 +105,20 @@ fn flag<'a>(flags: &'a [(String, String)], key: &str) -> Option<&'a str> {
 /// `--material <label|mixed>` (default mixed), `--clutter <seed>`
 /// (default: clean room).
 pub fn simulate(args: &[String]) -> Result<String, CommandError> {
-    let flags = parse_flags(args)?;
-    let n_tags: usize = flag(&flags, "tags").unwrap_or("3").parse().map_err(|_| {
+    let flags = parse_flags(args, &["tags", "seed", "material", "clutter"], &[])?;
+    let n_tags: usize = flags.get("tags").unwrap_or("3").parse().map_err(|_| {
         CommandError::Usage("--tags expects an integer".into())
     })?;
-    let seed: u64 = flag(&flags, "seed").unwrap_or("1").parse().map_err(|_| {
+    let seed: u64 = flags.get("seed").unwrap_or("1").parse().map_err(|_| {
         CommandError::Usage("--seed expects an integer".into())
     })?;
-    let material_arg = flag(&flags, "material").unwrap_or("mixed");
+    let material_arg = flags.get("material").unwrap_or("mixed");
     if n_tags == 0 {
         return Err(CommandError::Usage("--tags must be at least 1".into()));
     }
 
     let mut scene = Scene::standard_2d();
-    if let Some(clutter) = flag(&flags, "clutter") {
+    if let Some(clutter) = flags.get("clutter") {
         let cseed: u64 = clutter
             .parse()
             .map_err(|_| CommandError::Usage("--clutter expects an integer seed".into()))?;
@@ -134,6 +164,35 @@ pub fn simulate(args: &[String]) -> Result<String, CommandError> {
     Ok(log.to_text())
 }
 
+/// `sense` as the binary runs it: parses `args`, reads the log (and the
+/// calibration database), writes the `--metrics` JSON run report, prints
+/// the `--trace` span/counter summary on stderr, and returns the report
+/// text.
+///
+/// Flags: `--log FILE` (required), `--calib FILE`, `--jobs N` (default 1,
+/// `0` = all CPUs), `--metrics FILE`, and the bare switches `--trace` and
+/// `--warm` (see [`sense`]).
+pub fn sense_cli(args: &[String]) -> Result<String, CommandError> {
+    let flags = parse_flags(args, &["log", "calib", "jobs", "metrics"], &["trace", "warm"])?;
+    let log_path = flags
+        .get("log")
+        .ok_or_else(|| CommandError::Usage("sense needs --log <file>".into()))?;
+    let log_text = std::fs::read_to_string(log_path)?;
+    let calib_text = flags.get("calib").map(std::fs::read_to_string).transpose()?;
+    let jobs: usize = flags.get("jobs").unwrap_or("1").parse().map_err(|_| {
+        CommandError::Usage("--jobs expects a worker count (0 = all CPUs)".into())
+    })?;
+    let (text, run) = sense_observed(&log_text, calib_text.as_deref(), jobs, flags.has("warm"))?;
+    let run = run.with_meta("log", log_path);
+    if let Some(path) = flags.get("metrics") {
+        rfp_obs::report::write_json(std::path::Path::new(path), &run.to_json())?;
+    }
+    if flags.has("trace") {
+        eprint!("{}", run.summary());
+    }
+    Ok(text)
+}
+
 /// `sense`: replay a survey log through the pipeline; returns the report
 /// text.
 ///
@@ -150,23 +209,19 @@ pub fn simulate(args: &[String]) -> Result<String, CommandError> {
 /// comes from the warm pass; the run counters show the warm-start
 /// hit/miss split.
 ///
-/// With `tuned` set the solver runs the perf backends
-/// ([`rfp_core::StepSolver::Cached`] λ-ladder resolves plus
-/// [`rfp_core::LaneMode::Padded4`] row lanes) — estimates stay within
-/// 1e-9 of the defaults but are not bit-identical, so reports may
-/// differ in the last printed digit.
+/// Log `read` lines with a NaN or infinite field are skipped; the footer
+/// counts them.
 pub fn sense(
     log_text: &str,
     calibration_db: Option<&str>,
     jobs: usize,
     warm: bool,
-    tuned: bool,
 ) -> Result<String, CommandError> {
-    sense_observed(log_text, calibration_db, jobs, warm, tuned).map(|(text, _)| text)
+    sense_observed(log_text, calibration_db, jobs, warm).map(|(text, _)| text)
 }
 
 /// [`sense`] plus the machine-readable run report it was recorded under —
-/// the entry the binary uses for `--metrics` / `--trace`. The sensing work
+/// the entry [`sense_cli`] uses for `--metrics` / `--trace`. The sensing work
 /// runs under a fresh recorder over [`rfp_core::obs::METRICS`]; the
 /// returned [`rfp_obs::RunReport`] carries the per-stage span timings and
 /// every solver/detector/pipeline counter of this invocation.
@@ -175,23 +230,24 @@ pub fn sense_observed(
     calibration_db: Option<&str>,
     jobs: usize,
     warm: bool,
-    tuned: bool,
 ) -> Result<(String, rfp_obs::RunReport), CommandError> {
+    let log = SurveyLog::from_text(log_text)?;
     let (result, rec) = rfp_obs::recorder::observe(rfp_core::obs::METRICS, || {
-        sense_table(log_text, calibration_db, jobs, warm, tuned)
+        sense_table(&log, calibration_db, jobs, warm)
     });
     let table = result?;
     let run = rfp_obs::RunReport::from_recorder("sense", &rec)
         .with_meta("jobs", &jobs.to_string())
-        .with_meta("warm", if warm { "true" } else { "false" })
-        .with_meta("tuned", if tuned { "true" } else { "false" });
-    let text = format!("{table}{}", counters_footer(&run));
+        .with_meta("warm", if warm { "true" } else { "false" });
+    let text = format!("{table}{}", counters_footer(&run, log.skipped_reads));
     Ok((text, run))
 }
 
 /// Renders one counter line of the run summary, resolving names against
 /// the report (missing names read as 0, so the footer never panics).
-fn counters_footer(run: &rfp_obs::RunReport) -> String {
+/// `skipped_reads` is the count of log `read` lines dropped for a NaN or
+/// infinite field; its line appears only when it is non-zero.
+fn counters_footer(run: &rfp_obs::RunReport, skipped_reads: usize) -> String {
     let c = |name: &str| {
         run.counters
             .iter()
@@ -201,6 +257,9 @@ fn counters_footer(run: &rfp_obs::RunReport) -> String {
     };
     let mut out = String::new();
     let _ = writeln!(out, "-- run counters --");
+    if skipped_reads > 0 {
+        let _ = writeln!(out, "  log: {skipped_reads} reads skipped (NaN or infinite field)");
+    }
     let _ = writeln!(
         out,
         "  pipeline: {} windows, {} ok, {} moving-rejected, {} too-few-obs",
@@ -248,10 +307,9 @@ fn counters_footer(run: &rfp_obs::RunReport) -> String {
     }
     let _ = writeln!(
         out,
-        "  lm steps: {} lambda retries, {} chol failures, {} cached solves",
+        "  lm steps: {} lambda retries, {} chol failures",
         c("solver.lambda_retries"),
         c("solver.chol_failures"),
-        c("solver.step_cached_solves"),
     );
     let (updates, downdates) = (c("streaming.updates"), c("streaming.downdates"));
     if updates + downdates > 0 {
@@ -275,8 +333,7 @@ fn counters_footer(run: &rfp_obs::RunReport) -> String {
 /// engine's update/downdate/fallback counters.
 ///
 /// Flags: `--rounds N` (default 5), `--seed S` (default 1),
-/// `--tag SEED` (default 1), bare `--tuned` for the cached-step +
-/// padded-lane solver backends (both modes honor it).
+/// `--tag SEED` (default 1).
 ///
 /// With `--log FILE` the command switches to **telemetry replay mode**
 /// ([`crate::telemetry::replay`]): the recorded round is streamed through
@@ -287,34 +344,30 @@ fn counters_footer(run: &rfp_obs::RunReport) -> String {
 /// switch folds the streaming health rules into each frame, and
 /// `--window SECONDS` bounds the sliding window (0 = keep every read).
 pub fn stream(args: &[String]) -> Result<String, CommandError> {
-    // `--health` and `--tuned` are bare switches; split them out before
-    // pair parsing.
-    let health = args.iter().any(|a| a == "--health");
-    let tuned = args.iter().any(|a| a == "--tuned");
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| *a != "--health" && *a != "--tuned")
-        .cloned()
-        .collect();
-    let flags = parse_flags(&args)?;
-    if flag(&flags, "log").is_some() {
-        return stream_telemetry(&flags, health, tuned);
+    let flags = parse_flags(
+        args,
+        &["rounds", "seed", "tag", "log", "telemetry", "prom", "every", "window", "jobs"],
+        &["health"],
+    )?;
+    let health = flags.has("health");
+    if flags.get("log").is_some() {
+        return stream_telemetry(&flags, health);
     }
     for key in ["telemetry", "prom", "every", "window", "jobs"] {
-        if flag(&flags, key).is_some() {
+        if flags.get(key).is_some() {
             return Err(CommandError::Usage(format!("--{key} requires --log FILE")));
         }
     }
     if health {
         return Err(CommandError::Usage("--health requires --log FILE".into()));
     }
-    let rounds: usize = flag(&flags, "rounds").unwrap_or("5").parse().map_err(|_| {
+    let rounds: usize = flags.get("rounds").unwrap_or("5").parse().map_err(|_| {
         CommandError::Usage("--rounds expects an integer".into())
     })?;
-    let seed: u64 = flag(&flags, "seed").unwrap_or("1").parse().map_err(|_| {
+    let seed: u64 = flags.get("seed").unwrap_or("1").parse().map_err(|_| {
         CommandError::Usage("--seed expects an integer".into())
     })?;
-    let tag_seed: u64 = flag(&flags, "tag").unwrap_or("1").parse().map_err(|_| {
+    let tag_seed: u64 = flags.get("tag").unwrap_or("1").parse().map_err(|_| {
         CommandError::Usage("--tag expects an integer seed".into())
     })?;
     if rounds == 0 {
@@ -328,14 +381,8 @@ pub fn stream(args: &[String]) -> Result<String, CommandError> {
     let tag = SimTag::with_seeded_diversity(tag_seed)
         .with_motion(Motion::planar_static(position, alpha));
     let stream = rfp_sim::stream_rounds(&scene, &tag, rounds, seed);
-    let mut prism =
+    let prism =
         RfPrism::new(scene.antenna_poses(), scene.reader().plan).with_region(scene.region());
-    if tuned {
-        let mut config = rfp_core::RfPrismConfig::paper();
-        config.solver.step_solver = rfp_core::StepSolver::Cached;
-        config.solver.lane_mode = rfp_core::LaneMode::Padded4;
-        prism = prism.with_config(config);
-    }
 
     let (table, rec) = rfp_obs::recorder::observe(rfp_core::obs::METRICS, || {
         let mut session = prism.sense_streaming(scene.reader().round_duration_s());
@@ -385,30 +432,26 @@ pub fn stream(args: &[String]) -> Result<String, CommandError> {
     });
     let run = rfp_obs::RunReport::from_recorder("stream", &rec)
         .with_meta("rounds", &rounds.to_string());
-    Ok(format!("{table}{}", counters_footer(&run)))
+    Ok(format!("{table}{}", counters_footer(&run, 0)))
 }
 
 /// The `--log` arm of [`stream`]: telemetry replay plus its file sinks.
-fn stream_telemetry(
-    flags: &[(String, String)],
-    health: bool,
-    tuned: bool,
-) -> Result<String, CommandError> {
-    let log_path = flag(flags, "log").expect("checked by caller");
-    let jobs: usize = flag(flags, "jobs").unwrap_or("1").parse().map_err(|_| {
+fn stream_telemetry(flags: &Flags, health: bool) -> Result<String, CommandError> {
+    let log_path = flags.get("log").expect("checked by caller");
+    let jobs: usize = flags.get("jobs").unwrap_or("1").parse().map_err(|_| {
         CommandError::Usage("--jobs expects an integer (0 = all CPUs)".into())
     })?;
-    let every: usize = flag(flags, "every").unwrap_or("64").parse().map_err(|_| {
+    let every: usize = flags.get("every").unwrap_or("64").parse().map_err(|_| {
         CommandError::Usage("--every expects an integer read count".into())
     })?;
-    let window_s: f64 = flag(flags, "window").unwrap_or("0").parse().map_err(|_| {
+    let window_s: f64 = flags.get("window").unwrap_or("0").parse().map_err(|_| {
         CommandError::Usage("--window expects seconds (0 = unbounded)".into())
     })?;
-    let opts = crate::telemetry::TelemetryOptions { jobs, every, window_s, health, tuned };
+    let opts = crate::telemetry::TelemetryOptions { jobs, every, window_s, health };
 
     let log_text = std::fs::read_to_string(log_path)?;
     let run = crate::telemetry::replay(&log_text, &opts)?;
-    if let Some(path) = flag(flags, "telemetry") {
+    if let Some(path) = flags.get("telemetry") {
         let jsonl = if run.frames.is_empty() {
             String::new()
         } else {
@@ -418,34 +461,26 @@ fn stream_telemetry(
         };
         std::fs::write(path, jsonl)?;
     }
-    if let Some(path) = flag(flags, "prom") {
+    if let Some(path) = flags.get("prom") {
         std::fs::write(path, run.report.prometheus())?;
     }
-    Ok(format!("{}{}", run.summary, counters_footer(&run.report)))
+    Ok(format!("{}{}", run.summary, counters_footer(&run.report, run.skipped_reads)))
 }
 
 /// The tag table of [`sense`] (no counter footer); runs under whatever
 /// recorder the caller installed.
 fn sense_table(
-    log_text: &str,
+    log: &SurveyLog,
     calibration_db: Option<&str>,
     jobs: usize,
     warm: bool,
-    tuned: bool,
 ) -> Result<String, CommandError> {
-    let log = SurveyLog::from_text(log_text)?;
     let db = match calibration_db {
         Some(text) => Some(CalibrationDb::from_text(text).map_err(CommandError::Calibration)?),
         None => None,
     };
-    let region = default_region(&log);
-    let mut prism = RfPrism::new(log.poses.clone(), log.plan).with_region(region);
-    if tuned {
-        let mut config = rfp_core::RfPrismConfig::paper();
-        config.solver.step_solver = rfp_core::StepSolver::Cached;
-        config.solver.lane_mode = rfp_core::LaneMode::Padded4;
-        prism = prism.with_config(config);
-    }
+    let region = default_region(log);
+    let prism = RfPrism::new(log.poses.clone(), log.plan).with_region(region);
 
     // Fan the per-tag solves across the worker pool; results come back in
     // log order, so the report below is byte-identical at any `jobs`.
@@ -521,8 +556,8 @@ fn sense_table(
 /// `calibrate`: simulate the §V-B bare-tag calibration for `tag_seed` and
 /// return the calibration-database text.
 pub fn calibrate(args: &[String]) -> Result<String, CommandError> {
-    let flags = parse_flags(args)?;
-    let tag_seed: u64 = flag(&flags, "tag").unwrap_or("1").parse().map_err(|_| {
+    let flags = parse_flags(args, &["tag"], &[])?;
+    let tag_seed: u64 = flags.get("tag").unwrap_or("1").parse().map_err(|_| {
         CommandError::Usage("--tag expects an integer id".into())
     })?;
     let scene = Scene::standard_2d()
@@ -560,15 +595,14 @@ pub fn usage() -> String {
      \n\
      USAGE:\n\
      \x20 rf-prism simulate [--tags N] [--seed S] [--material LABEL|mixed] [--clutter SEED] > round.log\n\
-     \x20 rf-prism sense --log round.log [--calib tags.cal] [--jobs N] [--metrics out.json] [--trace] [--warm] [--tuned]\n\
+     \x20 rf-prism sense --log round.log [--calib tags.cal] [--jobs N] [--metrics out.json] [--trace] [--warm]\n\
      \x20     (--jobs: worker threads for the batched solve; 0 = all CPUs, default 1)\n\
      \x20     (--metrics: write the versioned JSON run report; --trace: span/counter summary on stderr)\n\
      \x20     (--warm: sense twice, warm-starting the second pass from the first — steady-state timing)\n\
-     \x20     (--tuned: cached λ-step solver + padded poly lanes; estimates within 1e-9 of the defaults)\n\
-     \x20 rf-prism stream [--rounds N] [--seed S] [--tag SEED] [--tuned]\n\
+     \x20 rf-prism stream [--rounds N] [--seed S] [--tag SEED]\n\
      \x20     (incremental sliding-window mode: one warm estimate per round, O(new reads) per advance)\n\
      \x20 rf-prism stream --log round.log [--jobs N] [--every READS] [--window SECS]\n\
-     \x20     [--telemetry frames.jsonl] [--prom metrics.prom] [--health] [--tuned]\n\
+     \x20     [--telemetry frames.jsonl] [--prom metrics.prom] [--health]\n\
      \x20     (telemetry replay: one JSONL frame per --every reads per tag, byte-identical at any --jobs;\n\
      \x20      --health adds watchdog verdicts to each frame; --prom writes the merged exposition)\n\
      \x20 rf-prism calibrate --tag ID > tags.cal\n\
@@ -592,7 +626,7 @@ mod tests {
     #[test]
     fn simulate_then_sense_round_trip() {
         let log_text = simulate(&args(&["--tags", "2", "--seed", "3"])).unwrap();
-        let report = sense(&log_text, None, 1, false, false).unwrap();
+        let report = sense(&log_text, None, 1, false).unwrap();
         // Two tag rows with truth errors present.
         assert_eq!(report.matches(" cm").count(), 2, "report:\n{report}");
         assert!(report.contains("clean") || report.contains("multipath"));
@@ -634,44 +668,30 @@ mod tests {
     fn sense_with_calibration_prints_material_features() {
         let log_text = simulate(&args(&["--tags", "1", "--seed", "5"])).unwrap();
         let cal_text = calibrate(&args(&["--tag", "1"])).unwrap();
-        let report = sense(&log_text, Some(&cal_text), 1, false, false).unwrap();
+        let report = sense(&log_text, Some(&cal_text), 1, false).unwrap();
         assert!(report.contains("k_t_mat"), "report:\n{report}");
     }
 
     #[test]
     fn sense_report_identical_at_any_jobs() {
         let log_text = simulate(&args(&["--tags", "3", "--seed", "2"])).unwrap();
-        let sequential = sense(&log_text, None, 1, false, false).unwrap();
-        assert_eq!(sequential, sense(&log_text, None, 2, false, false).unwrap());
-        assert_eq!(sequential, sense(&log_text, None, 0, false, false).unwrap());
-    }
-
-    #[test]
-    fn tuned_sense_is_deterministic_and_tracks_the_default_table() {
-        let log_text = simulate(&args(&["--tags", "3", "--seed", "2"])).unwrap();
-        let tuned = sense(&log_text, None, 1, false, true).unwrap();
-        // Deterministic across worker counts, like every other mode.
-        assert_eq!(tuned, sense(&log_text, None, 2, false, true).unwrap());
-        assert_eq!(tuned, sense(&log_text, None, 0, false, true).unwrap());
-        // The tuned backends are pinned ≤1e-9 against the defaults, so the
-        // printed tag tables (3-decimal positions) must agree exactly.
-        let default = sense(&log_text, None, 1, false, false).unwrap();
-        let table = |s: &str| s.split("-- run counters --").next().unwrap().to_string();
-        assert_eq!(table(&default), table(&tuned), "tuned estimates drifted");
+        let sequential = sense(&log_text, None, 1, false).unwrap();
+        assert_eq!(sequential, sense(&log_text, None, 2, false).unwrap());
+        assert_eq!(sequential, sense(&log_text, None, 0, false).unwrap());
     }
 
     #[test]
     fn warm_sense_matches_cold_table_at_any_jobs() {
         let log_text = simulate(&args(&["--tags", "3", "--seed", "4"])).unwrap();
-        let cold = sense(&log_text, None, 1, false, false).unwrap();
-        let warm = sense(&log_text, None, 1, true, false).unwrap();
+        let cold = sense(&log_text, None, 1, false).unwrap();
+        let warm = sense(&log_text, None, 1, true).unwrap();
         // A static log re-sensed warm must land on the same estimates: the
         // tag table (everything before the counter footer) is identical.
         let table = |s: &str| s.split("-- run counters --").next().unwrap().to_string();
         assert_eq!(table(&cold), table(&warm), "warm pass changed estimates");
         // And the warm report itself is deterministic across worker counts.
-        assert_eq!(warm, sense(&log_text, None, 2, true, false).unwrap());
-        assert_eq!(warm, sense(&log_text, None, 0, true, false).unwrap());
+        assert_eq!(warm, sense(&log_text, None, 2, true).unwrap());
+        assert_eq!(warm, sense(&log_text, None, 0, true).unwrap());
     }
 
     #[test]
@@ -757,9 +777,97 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Replacing one field of one `read` line with NaN or ±∞ skips that
+    /// read: the tag table is byte-identical to the one from the log with
+    /// the line deleted, and the footer counts the skipped read.
+    #[test]
+    fn non_finite_read_fields_match_a_deleted_line() {
+        let log_text = simulate(&args(&["--tags", "3", "--seed", "1"])).unwrap();
+        let lines: Vec<&str> = log_text.lines().collect();
+        let at = lines.iter().position(|l| l.starts_with("read 1 ")).unwrap() + 40;
+        assert!(lines[at].starts_with("read 1 "));
+        let with_line = |line: Option<String>| {
+            let mut text = String::new();
+            for (i, l) in lines.iter().enumerate() {
+                match (i == at, &line) {
+                    (false, _) => text.push_str(l),
+                    (true, Some(replacement)) => text.push_str(replacement),
+                    (true, None) => continue,
+                }
+                text.push('\n');
+            }
+            text
+        };
+        let table = |s: &str| s.split("-- run counters --").next().unwrap().to_string();
+        let deleted = sense(&with_line(None), None, 1, false).unwrap();
+        assert!(!deleted.contains("skipped"), "{deleted}");
+        // Fields 4..=7: frequency, phase, RSSI, timestamp.
+        for (field, bad) in [(4, "inf"), (5, "NaN"), (6, "NaN"), (7, "-inf")] {
+            let mut fields: Vec<&str> = lines[at].split_whitespace().collect();
+            fields[field] = bad;
+            let corrupted = sense(&with_line(Some(fields.join(" "))), None, 1, false).unwrap();
+            assert_eq!(table(&corrupted), table(&deleted), "field {field} = {bad}");
+            assert!(corrupted.contains("log: 1 reads skipped"), "{corrupted}");
+        }
+    }
+
+    #[test]
+    fn stream_log_footer_counts_skipped_reads() {
+        let log_text = simulate(&args(&["--tags", "1", "--seed", "2"])).unwrap();
+        let first = log_text.lines().find(|l| l.starts_with("read ")).unwrap();
+        let mut fields: Vec<&str> = first.split_whitespace().collect();
+        fields[5] = "NaN";
+        let corrupted = log_text.replacen(first, &fields.join(" "), 1);
+        let dir = std::env::temp_dir().join("rfp-cli-skipped-reads-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let log_path = dir.join("round.log");
+        std::fs::write(&log_path, corrupted).unwrap();
+        let report = stream(&args(&["--log", log_path.to_str().unwrap()])).unwrap();
+        assert!(report.contains("log: 1 reads skipped"), "{report}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flags_are_checked_against_each_command() {
+        let usage = |r: Result<String, CommandError>| match r {
+            Err(CommandError::Usage(u)) => u,
+            other => panic!("expected a usage error, got {other:?}"),
+        };
+        // Unknown flags are named, checked before any file is read.
+        assert!(usage(sense_cli(&args(&["--log", "f", "--tuned"]))).contains("--tuned"));
+        assert!(usage(sense_cli(&args(&["--log", "f", "--jbos", "4"]))).contains("--jbos"));
+        assert!(usage(stream(&args(&["--tuned"]))).contains("--tuned"));
+        assert!(usage(simulate(&args(&["--log", "f"]))).contains("--log"));
+        // A flag is not a value.
+        assert!(usage(sense_cli(&args(&["--log", "--jobs", "2"]))).contains("--log"));
+
+        // Every documented flag still parses.
+        let dir = std::env::temp_dir().join("rfp-cli-flags-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let log_text = simulate(&args(&[
+            "--tags", "1", "--seed", "2", "--material", "water", "--clutter", "3",
+        ]))
+        .unwrap();
+        std::fs::write(path("round.log"), &log_text).unwrap();
+        std::fs::write(path("tags.cal"), calibrate(&args(&["--tag", "1"])).unwrap()).unwrap();
+        sense_cli(&args(&[
+            "--log", &path("round.log"), "--calib", &path("tags.cal"), "--jobs", "2",
+            "--metrics", &path("run.json"), "--trace", "--warm",
+        ]))
+        .unwrap();
+        stream(&args(&["--rounds", "2", "--seed", "1", "--tag", "1"])).unwrap();
+        stream(&args(&[
+            "--log", &path("round.log"), "--jobs", "2", "--every", "32", "--window", "0",
+            "--telemetry", &path("frames.jsonl"), "--prom", &path("metrics.prom"), "--health",
+        ]))
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn sense_propagates_log_errors() {
-        assert!(matches!(sense("garbage", None, 1, false, false), Err(CommandError::Log(_))));
+        assert!(matches!(sense("garbage", None, 1, false), Err(CommandError::Log(_))));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! Everything after `#` on a line is a comment. Lines may appear in any
 //! order except that `read` lines must follow the `antenna`/`plan` lines
-//! they reference.
+//! they reference. A `read` line whose frequency, phase, RSSI or timestamp
+//! parses to NaN or ±∞ is skipped and counted in
+//! [`SurveyLog::skipped_reads`].
 
 use rfp_dsp::preprocess::RawRead;
 use rfp_geom::{AntennaPose, Vec2, Vec3};
@@ -47,6 +49,9 @@ pub struct SurveyLog {
     pub poses: Vec<AntennaPose>,
     /// Per-tag records, keyed by tag id.
     pub tags: BTreeMap<u64, TagRecord>,
+    /// `read` lines dropped by [`SurveyLog::from_text`] because a numeric
+    /// field was NaN or infinite.
+    pub skipped_reads: usize,
 }
 
 /// Parse errors with 1-based line numbers.
@@ -92,7 +97,7 @@ impl std::error::Error for LogError {}
 impl SurveyLog {
     /// An empty log for the given deployment.
     pub fn new(plan: FrequencyPlan, poses: Vec<AntennaPose>) -> Self {
-        SurveyLog { plan, poses, tags: BTreeMap::new() }
+        SurveyLog { plan, poses, tags: BTreeMap::new(), skipped_reads: 0 }
     }
 
     /// Adds one tag's survey (reads grouped per antenna) with optional
@@ -167,6 +172,7 @@ impl SurveyLog {
     /// Any [`LogError`] on structural problems.
     pub fn from_text(text: &str) -> Result<Self, LogError> {
         let mut plan: Option<FrequencyPlan> = None;
+        let mut skipped_reads = 0usize;
         let mut poses: BTreeMap<usize, AntennaPose> = BTreeMap::new();
         let mut tags: BTreeMap<u64, TagRecord> = BTreeMap::new();
 
@@ -236,6 +242,12 @@ impl SurveyLog {
                     if nums.len() != 4 {
                         return Err(malformed);
                     }
+                    // `f64::from_str` accepts `NaN` and `inf`; such a read
+                    // would poison the tag's estimate, so it never enters.
+                    if !nums.iter().all(|v| v.is_finite()) {
+                        skipped_reads += 1;
+                        continue;
+                    }
                     let record = tags.entry(id).or_default();
                     if record.per_antenna.len() <= ai {
                         record.per_antenna.resize(ai + 1, Vec::new());
@@ -269,7 +281,7 @@ impl SurveyLog {
         for record in tags.values_mut() {
             record.per_antenna.resize(n_ant, Vec::new());
         }
-        Ok(SurveyLog { plan, poses, tags })
+        Ok(SurveyLog { plan, poses, tags, skipped_reads })
     }
 }
 
@@ -348,6 +360,23 @@ mod tests {
             SurveyLog::from_text("plan 9e8\n").unwrap_err(),
             LogError::Malformed { line: 1 }
         ));
+    }
+
+    #[test]
+    fn non_finite_reads_are_skipped_and_counted() {
+        let head = "plan 9e8 5e5 50\nantenna 0 0 0 0 0 1 0 0\n";
+        let good = "read 1 0 3 9.015e8 1.5 -50 0.25\n";
+        for bad in [
+            "read 1 0 3 NaN 1.5 -50 0.5\n",
+            "read 1 0 3 9.015e8 inf -50 0.5\n",
+            "read 1 0 3 9.015e8 1.5 -inf 0.5\n",
+            "read 1 0 3 9.015e8 1.5 -50 NaN\n",
+        ] {
+            let log = SurveyLog::from_text(&format!("{head}{good}{bad}{good}")).unwrap();
+            assert_eq!(log.skipped_reads, 1, "{bad}");
+            assert_eq!(log.tags[&1].per_antenna[0].len(), 2, "{bad}");
+        }
+        assert_eq!(SurveyLog::from_text(&format!("{head}{good}")).unwrap().skipped_reads, 0);
     }
 
     #[test]

@@ -38,14 +38,11 @@ pub struct TelemetryOptions {
     pub window_s: f64,
     /// Fold the streaming health rules over each merged delta.
     pub health: bool,
-    /// Run the tuned solver backends (cached step solver + padded row
-    /// lanes) — estimates within 1e-9 of the defaults, not bit-identical.
-    pub tuned: bool,
 }
 
 impl Default for TelemetryOptions {
     fn default() -> Self {
-        TelemetryOptions { jobs: 1, every: 64, window_s: 0.0, health: false, tuned: false }
+        TelemetryOptions { jobs: 1, every: 64, window_s: 0.0, health: false }
     }
 }
 
@@ -58,6 +55,8 @@ pub struct TelemetryRun {
     /// The merged end-of-run report (has wall-clock timings — *not*
     /// byte-stable; feed it to `--prom`, not to diffs).
     pub report: RunReport,
+    /// Log `read` lines skipped for a NaN or infinite field.
+    pub skipped_reads: usize,
 }
 
 /// One tag's finished replay, returned by a worker.
@@ -85,13 +84,7 @@ pub fn replay(log_text: &str, opts: &TelemetryOptions) -> Result<TelemetryRun, C
         return Err(CommandError::Usage("--every must be at least 1".into()));
     }
     let log = SurveyLog::from_text(log_text)?;
-    let mut prism = RfPrism::new(log.poses.clone(), log.plan);
-    if opts.tuned {
-        let mut config = rfp_core::RfPrismConfig::paper();
-        config.solver.step_solver = rfp_core::StepSolver::Cached;
-        config.solver.lane_mode = rfp_core::LaneMode::Padded4;
-        prism = prism.with_config(config);
-    }
+    let prism = RfPrism::new(log.poses.clone(), log.plan);
     let window_s = if opts.window_s > 0.0 { opts.window_s } else { f64::INFINITY };
 
     // Merge each tag's per-antenna reads back into arrival order. The sort
@@ -225,7 +218,7 @@ pub fn replay(log_text: &str, opts: &TelemetryOptions) -> Result<TelemetryRun, C
         let _ = writeln!(summary, "  health: worst verdict {}", worst.as_str());
     }
 
-    Ok(TelemetryRun { frames, summary, report })
+    Ok(TelemetryRun { frames, summary, report, skipped_reads: log.skipped_reads })
 }
 
 /// Replays one tag's merged read sequence under its own recorder,

@@ -301,9 +301,10 @@ mod tests {
         assert!(obs.residual_std < 0.01);
     }
 
-    /// Non-finite phases or frequencies in one window come back as an
-    /// `ExtractError` — never a panic in the median or sort downstream —
-    /// whatever channel, read position or trig backend they hit.
+    /// Non-finite phases, RSSIs or frequencies in one window come back as
+    /// an `ExtractError` — never a panic in the median or sort downstream,
+    /// never a silently poisoned RSSI penalty — whatever channel, read
+    /// position or trig backend they hit.
     #[test]
     fn non_finite_reads_are_an_error_not_a_panic() {
         use rfp_dsp::preprocess::PreprocessError;
@@ -323,16 +324,20 @@ mod tests {
                 config.preprocess.correct_pi_jumps = pi_jumps;
                 for at in [0, clean.len() / 2, clean.len() - 1] {
                     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                        let mut reads = clean.clone();
-                        reads[at].phase = bad;
-                        reads[at].phase_code = None;
-                        assert_eq!(
-                            extract_observation(pose, &reads, &config).unwrap_err(),
-                            ExtractError::Preprocess(PreprocessError::NonFiniteInput {
-                                channel: channel_of(at)
-                            }),
-                            "phase {bad} at read {at}, {trig:?}, pi_jumps={pi_jumps}"
-                        );
+                        let mut bad_phase = clean.clone();
+                        bad_phase[at].phase = bad;
+                        bad_phase[at].phase_code = None;
+                        let mut bad_rssi = clean.clone();
+                        bad_rssi[at].rssi_dbm = bad;
+                        for (field, reads) in [("phase", bad_phase), ("rssi", bad_rssi)] {
+                            assert_eq!(
+                                extract_observation(pose, &reads, &config).unwrap_err(),
+                                ExtractError::Preprocess(PreprocessError::NonFiniteInput {
+                                    channel: channel_of(at)
+                                }),
+                                "{field} {bad} at read {at}, {trig:?}, pi_jumps={pi_jumps}"
+                            );
+                        }
                     }
                 }
                 // A non-finite frequency on a channel's first read is the

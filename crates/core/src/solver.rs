@@ -49,17 +49,15 @@
 //! [`LmCore`] (`LmCore<5>` for the joint problem,
 //! `LmCore<3>` for stage 1), the problem physics sits behind
 //! [`ResidualModel`] implementations, and the
-//! residual/seed-ranking hot loops run in explicit 4-wide lanes
-//! ([`LaneMode`], escape hatch
-//! [`SolverConfig::lane_mode`]). The pre-refactor solver is frozen
+//! residual/seed-ranking hot loops run in explicit 4-wide lanes. The
+//! pre-refactor solver is frozen
 //! verbatim in [`crate::reference`] as the bit-exact oracle the facade is
 //! pinned against (see DESIGN.md §6).
 
-use crate::lm::{LaneMode, LaneStats, LmCore, ResidualModel, StepSolver, StepStats};
+use crate::lm::{LaneStats, LmCore, ResidualModel, StepStats};
 use crate::model::AntennaObservation;
 use crate::obs;
 use rfp_geom::{angle, AntennaPose, Region2, Vec2, Vec3};
-use rfp_dsp::trig::{poly_atan2x4, poly_sin_cos};
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
 use rfp_phys::propagation;
 
@@ -355,8 +353,8 @@ impl SolverWorkspace {
             .merged(self.slope.lane_stats())
     }
 
-    /// Snapshot of the damped-step tallies — λ retries, factorization
-    /// failures, cached λ-resolves — summed over both LM cores (diff with
+    /// Snapshot of the damped-step tallies — λ retries and factorization
+    /// failures — summed over both LM cores (diff with
     /// [`StepStats::since`]).
     pub fn step_stats(&self) -> StepStats {
         self.joint.step_stats().merged(self.slope.step_stats())
@@ -405,18 +403,6 @@ pub struct SolverConfig {
     /// refinement and an α scan — a value the scan itself could reach).
     /// Teleporting tags fail the gate and fall back to the full scan.
     pub warm_gate_rel_tol: f64,
-    /// How the hot loops (coarse seed ranking, residual/Jacobian rows)
-    /// traverse their data: explicit 4-wide lanes (default) or the plain
-    /// scalar loop. Both produce bit-identical results — rows are
-    /// independent and written in a fixed order — so this is purely an
-    /// escape hatch / A-B switch (see [`LaneMode`]).
-    pub lane_mode: LaneMode,
-    /// How each damped LM step `(JᵀJ + λD)δ = −Jᵀr` is solved: a fresh
-    /// Cholesky factorization per λ attempt (default, the frozen
-    /// bit-identity reference) or the tridiagonal cache that factors
-    /// `JᵀJ` once per λ ladder and resolves further retries in O(P²)
-    /// (see [`StepSolver`], pinned ≤1e-9 against the default).
-    pub step_solver: StepSolver,
 }
 
 impl Default for SolverConfig {
@@ -433,8 +419,6 @@ impl Default for SolverConfig {
             refine_top_k: Some(8),
             early_exit_rel_tol: 0.5,
             warm_gate_rel_tol: 0.25,
-            lane_mode: LaneMode::Wide4,
-            step_solver: StepSolver::Cholesky,
         }
     }
 }
@@ -706,7 +690,7 @@ pub fn solve_2d_tracking_warm(
 /// (cost, index) key makes the ordering total, so the unstable
 /// (allocation-free) sort is deterministic.
 ///
-/// With geometry tables and [`LaneMode::Wide4`] the ranking evaluates 4
+/// With geometry tables the ranking evaluates 4
 /// seeds per pass over the slope table: the two per-seed accumulations
 /// (`k_t` seed mean, then the cost) run in 4 independent lanes whose
 /// per-seed operation order over the antennas is exactly the scalar
@@ -722,8 +706,8 @@ fn rank_coarse_2d(
 ) {
     let _rank_span = obs::span("seed_rank");
     coarse.clear();
-    match (geometry, config.lane_mode) {
-        (Some(g), LaneMode::Wide4 | LaneMode::Padded4) => {
+    match geometry {
+        Some(g) => {
             let n = observations.len();
             let total = seeds.position_starts.len();
             let mut s = 0usize;
@@ -757,7 +741,7 @@ fn rank_coarse_2d(
                 lanes.scalar_rows += 1;
             }
         }
-        _ => {
+        None => {
             for (s, &seed_pos) in seeds.position_starts.iter().enumerate() {
                 let (kt0, cost) =
                     coarse_seed_cost_2d(observations, geometry, s, seed_pos, config);
@@ -1337,7 +1321,6 @@ fn flush_obs_2d(
     obs::counter_add(obs::id::SOLVER_LANE_SCALAR_ROWS, lane_work.scalar_rows);
     obs::counter_add(obs::id::SOLVER_LAMBDA_RETRIES, step_work.lambda_retries);
     obs::counter_add(obs::id::SOLVER_CHOL_FAILURES, step_work.chol_failures);
-    obs::counter_add(obs::id::SOLVER_STEP_CACHED_SOLVES, step_work.cached_solves);
     if warm_hit {
         obs::counter_add(obs::id::SOLVER_WARM_HITS, 1);
     }
@@ -1364,10 +1347,6 @@ impl ResidualModel<5> for Joint2<'_> {
     fn eval(&self, p: &[f64; 5], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
         residuals_and_jacobian_2d(self.observations, p, self.config, r, jac);
     }
-
-    fn lane_mode(&self) -> LaneMode {
-        self.config.lane_mode
-    }
 }
 
 /// The stage-1 slope-only `(x, y, k_t)` problem as a [`ResidualModel`].
@@ -1379,10 +1358,6 @@ struct Slope2<'a> {
 impl ResidualModel<3> for Slope2<'_> {
     fn eval(&self, p: &[f64; 3], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>) {
         slope_residuals_and_jacobian_2d(self.observations, p, self.config, r, jac);
-    }
-
-    fn lane_mode(&self) -> LaneMode {
-        self.config.lane_mode
     }
 }
 
@@ -1396,13 +1371,9 @@ fn refine_joint_2d(
 ) -> ([f64; 5], f64) {
     let model = Joint2 { observations, config };
     match config.jacobian {
-        JacobianMode::Analytic => core.refine_with(
-            &model,
-            p0,
-            config.max_iterations,
-            config.tolerance,
-            config.step_solver,
-        ),
+        JacobianMode::Analytic => {
+            core.refine(&model, p0, config.max_iterations, config.tolerance)
+        }
         JacobianMode::Numeric => core.refine_numeric(
             &model,
             p0,
@@ -1423,13 +1394,9 @@ fn refine_slope_2d(
 ) -> ([f64; 3], f64) {
     let model = Slope2 { observations, config };
     match config.jacobian {
-        JacobianMode::Analytic => core.refine_with(
-            &model,
-            p0,
-            config.max_iterations,
-            config.tolerance,
-            config.step_solver,
-        ),
+        JacobianMode::Analytic => {
+            core.refine(&model, p0, config.max_iterations, config.tolerance)
+        }
         JacobianMode::Numeric => core.refine_numeric(
             &model,
             p0,
@@ -1702,17 +1669,7 @@ pub fn residuals_and_jacobian_2d(
     jac: Option<&mut Vec<f64>>,
 ) {
     let pos = Vec2::new(p[0], p[1]).with_z(0.0);
-    let alpha = p[2];
-    // The padded polynomial mode also evaluates the dipole preamble with
-    // the polynomial (sin, cos) — one pair per residual evaluation, paid
-    // on every λ attempt, so it rides the same ≲1e-12 trig budget as the
-    // per-row polynomial atan2 (pinned ≤1e-9 on full solves).
-    let w = if config.lane_mode == LaneMode::Padded4 {
-        let (s, c) = poly_sin_cos(alpha);
-        Vec3::new(c, 0.0, s)
-    } else {
-        planar_dipole(alpha)
-    };
+    let w = planar_dipole(p[2]);
     // d/dα of the planar dipole (a rotation in the x–z plane): the same
     // sine/cosine pair as `w`, so the derivative costs no further trig —
     // `-w.z` and `w.x` are bit-identical to `-alpha.sin()` / `alpha.cos()`.
@@ -1726,69 +1683,28 @@ pub fn residuals_and_jacobian_2d(
     }
     let mut jac: Option<&mut [f64]> = jac.map(Vec::as_mut_slice);
     let k1 = propagation::slope_from_distance(1.0); // 4π/c
-    match config.lane_mode {
-        LaneMode::Wide4 => {
-            // Four independent antenna rows per pass. Each lane writes its
-            // own residual/Jacobian rows and rows are emitted in antenna
-            // order, so the unrolled path is bit-identical to the scalar
-            // loop — there is no cross-lane reduction to reorder.
-            let mut chunks = observations.chunks_exact(4);
-            let mut i = 0usize;
-            for c in chunks.by_ref() {
-                joint_row_2d(&c[0], i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                joint_row_2d(&c[1], i + 1, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                joint_row_2d(&c[2], i + 2, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                joint_row_2d(&c[3], i + 3, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                i += 4;
-            }
-            for o in chunks.remainder() {
-                joint_row_2d(o, i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-                i += 1;
-            }
-        }
-        LaneMode::Padded4 => {
-            // Every pass works on a full 4-lane block: the trailing block
-            // is padded by repeating the last antenna and the padded
-            // lanes' outputs discarded, so a 6-row 2-D scene fills two
-            // wide passes instead of one wide + two scalar rows. The
-            // orientation phase runs through the polynomial `atan2`
-            // lanes — the one place this mode differs numerically from
-            // the bit-identity modes (≲1e-13 per row, pinned ≤1e-9 on
-            // full solves).
-            let n = observations.len();
-            let mut i = 0usize;
-            while i < n {
-                let live = (n - i).min(4);
-                let at = |l: usize| &observations[i + l.min(live - 1)];
-                let obs4 = [at(0), at(1), at(2), at(3)];
-                joint_rows_padded_2d(
-                    &obs4,
-                    live,
-                    i,
-                    pos,
-                    w,
-                    dw,
-                    kt,
-                    bt,
-                    k1,
-                    config,
-                    r,
-                    jac.as_deref_mut(),
-                );
-                i += live;
-            }
-        }
-        LaneMode::Scalar => {
-            for (i, o) in observations.iter().enumerate() {
-                joint_row_2d(o, i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
-            }
-        }
+    // Four independent antenna rows per pass. Each lane writes its own
+    // residual/Jacobian rows and rows are emitted in antenna order, so the
+    // unrolled path is bit-identical to the scalar loop — there is no
+    // cross-lane reduction to reorder.
+    let mut chunks = observations.chunks_exact(4);
+    let mut i = 0usize;
+    for c in chunks.by_ref() {
+        joint_row_2d(&c[0], i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_2d(&c[1], i + 1, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_2d(&c[2], i + 2, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        joint_row_2d(&c[3], i + 3, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        i += 4;
+    }
+    for o in chunks.remainder() {
+        joint_row_2d(o, i, pos, w, dw, kt, bt, k1, config, r, jac.as_deref_mut());
+        i += 1;
     }
 }
 
 /// One antenna's slope + wrapped-intercept rows (and, when `jac` is given,
-/// their Jacobian rows) of the joint 2-D problem — the body shared by the
-/// 4-wide lanes and the scalar loop of [`residuals_and_jacobian_2d`].
+/// their Jacobian rows) of the joint 2-D problem — the body of each lane
+/// and of the remainder loop of [`residuals_and_jacobian_2d`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn joint_row_2d(
@@ -1839,77 +1755,6 @@ fn joint_row_2d(
     }
 }
 
-/// The [`LaneMode::Padded4`] block kernel of
-/// [`residuals_and_jacobian_2d`]: four antennas' scalars gathered into
-/// lane arrays, the orientation phase evaluated through the 4-lane
-/// polynomial [`poly_atan2x4`], and the `live` real rows emitted in
-/// antenna order (padded lanes compute and are discarded). All row
-/// expressions besides `θ = atan2(2·uw·vw, uw² − vw²)` are the exact
-/// scalar ones, so only the polynomial `atan2` separates this mode from
-/// the bit-identity paths.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn joint_rows_padded_2d(
-    obs4: &[&AntennaObservation; 4],
-    live: usize,
-    base: usize,
-    pos: Vec3,
-    w: Vec3,
-    dw: Vec3,
-    kt: f64,
-    bt: f64,
-    k1: f64,
-    config: &SolverConfig,
-    r: &mut Vec<f64>,
-    jac: Option<&mut [f64]>,
-) {
-    let mut d = [0.0f64; 4];
-    let mut uw = [0.0f64; 4];
-    let mut vw = [0.0f64; 4];
-    let mut ty = [0.0f64; 4];
-    let mut tx = [0.0f64; 4];
-    for l in 0..4 {
-        let o = obs4[l];
-        d[l] = o.pose.position().distance(pos);
-        uw[l] = o.pose.u().dot(w);
-        vw[l] = o.pose.v().dot(w);
-        ty[l] = 2.0 * uw[l] * vw[l];
-        tx[l] = uw[l] * uw[l] - vw[l] * vw[l];
-    }
-    let th = poly_atan2x4(ty, tx);
-    for l in 0..live {
-        let o = obs4[l];
-        let k_model = propagation::slope_from_distance(d[l]) + kt;
-        r.push((o.slope - k_model) / config.slope_sigma);
-        let denom = uw[l] * uw[l] + vw[l] * vw[l];
-        // Same degenerate-dipole guard as the scalar row.
-        let theta = if denom < 1e-24 { 0.0 } else { th[l] };
-        r.push(angle::wrap_pi(o.intercept - (theta + bt)) / config.intercept_sigma);
-    }
-    if let Some(j) = jac {
-        for l in 0..live {
-            let o = obs4[l];
-            let ap = o.pose.position();
-            let rs = 2 * (base + l) * 5;
-            let g = if d[l] > 1e-12 { -k1 / (d[l] * config.slope_sigma) } else { 0.0 };
-            j[rs] = g * (pos.x - ap.x);
-            j[rs + 1] = g * (pos.y - ap.y);
-            j[rs + 3] = -1.0 / config.slope_sigma;
-            let rb = rs + 5;
-            let denom = uw[l] * uw[l] + vw[l] * vw[l];
-            let dtheta = if denom < 1e-24 {
-                0.0
-            } else {
-                let uwp = o.pose.u().dot(dw);
-                let vwp = o.pose.v().dot(dw);
-                2.0 * (uw[l] * vwp - vw[l] * uwp) / denom
-            };
-            j[rb + 2] = -dtheta / config.intercept_sigma;
-            j[rb + 4] = -1.0 / config.intercept_sigma;
-        }
-    }
-}
-
 /// The N sigma-normalized slope residuals at `p = (x, y, k_t)` and,
 /// when `jac` is given, their row-major `N × 3` analytic Jacobian — the
 /// stage-1 seeding problem.
@@ -1930,87 +1775,25 @@ fn slope_residuals_and_jacobian_2d(
     }
     let mut jac: Option<&mut [f64]> = jac.map(Vec::as_mut_slice);
     let k1 = propagation::slope_from_distance(1.0);
-    match config.lane_mode {
-        LaneMode::Wide4 => {
-            // See `residuals_and_jacobian_2d`: independent rows in antenna
-            // order, bit-identical to the scalar loop.
-            let mut chunks = observations.chunks_exact(4);
-            let mut i = 0usize;
-            for c in chunks.by_ref() {
-                slope_row_2d(&c[0], i, pos, kt, k1, config, r, jac.as_deref_mut());
-                slope_row_2d(&c[1], i + 1, pos, kt, k1, config, r, jac.as_deref_mut());
-                slope_row_2d(&c[2], i + 2, pos, kt, k1, config, r, jac.as_deref_mut());
-                slope_row_2d(&c[3], i + 3, pos, kt, k1, config, r, jac.as_deref_mut());
-                i += 4;
-            }
-            for o in chunks.remainder() {
-                slope_row_2d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
-                i += 1;
-            }
-        }
-        LaneMode::Padded4 => {
-            // Padded full blocks, as in `residuals_and_jacobian_2d`. The
-            // slope rows involve no trig, so this arm is bit-identical to
-            // the scalar loop — padding only changes which lanes are
-            // discarded.
-            let n = observations.len();
-            let mut i = 0usize;
-            while i < n {
-                let live = (n - i).min(4);
-                let at = |l: usize| &observations[i + l.min(live - 1)];
-                let obs4 = [at(0), at(1), at(2), at(3)];
-                slope_rows_padded_2d(&obs4, live, i, pos, kt, k1, config, r, jac.as_deref_mut());
-                i += live;
-            }
-        }
-        LaneMode::Scalar => {
-            for (i, o) in observations.iter().enumerate() {
-                slope_row_2d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
-            }
-        }
+    // See `residuals_and_jacobian_2d`: independent rows in antenna order,
+    // bit-identical to the scalar loop.
+    let mut chunks = observations.chunks_exact(4);
+    let mut i = 0usize;
+    for c in chunks.by_ref() {
+        slope_row_2d(&c[0], i, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_2d(&c[1], i + 1, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_2d(&c[2], i + 2, pos, kt, k1, config, r, jac.as_deref_mut());
+        slope_row_2d(&c[3], i + 3, pos, kt, k1, config, r, jac.as_deref_mut());
+        i += 4;
     }
-}
-
-/// The [`LaneMode::Padded4`] block kernel of
-/// [`slope_residuals_and_jacobian_2d`]: four antenna distances per pass
-/// (trailing block padded with the last antenna), `live` real rows
-/// emitted in antenna order. Expressions are exactly the scalar row's,
-/// so the padded slope path is bit-identical.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn slope_rows_padded_2d(
-    obs4: &[&AntennaObservation; 4],
-    live: usize,
-    base: usize,
-    pos: Vec3,
-    kt: f64,
-    k1: f64,
-    config: &SolverConfig,
-    r: &mut Vec<f64>,
-    jac: Option<&mut [f64]>,
-) {
-    let mut d = [0.0f64; 4];
-    for l in 0..4 {
-        d[l] = obs4[l].pose.position().distance(pos);
-    }
-    for l in 0..live {
-        let o = obs4[l];
-        r.push((o.slope - propagation::slope_from_distance(d[l]) - kt) / config.slope_sigma);
-    }
-    if let Some(j) = jac {
-        for l in 0..live {
-            let ap = obs4[l].pose.position();
-            let i = base + l;
-            let g = if d[l] > 1e-12 { -k1 / (d[l] * config.slope_sigma) } else { 0.0 };
-            j[i * 3] = g * (pos.x - ap.x);
-            j[i * 3 + 1] = g * (pos.y - ap.y);
-            j[i * 3 + 2] = -1.0 / config.slope_sigma;
-        }
+    for o in chunks.remainder() {
+        slope_row_2d(o, i, pos, kt, k1, config, r, jac.as_deref_mut());
+        i += 1;
     }
 }
 
 /// One antenna's slope row (and Jacobian row) of the stage-1 problem —
-/// the body shared by the 4-wide lanes and the scalar loop of
+/// the body of each lane and of the remainder loop of
 /// [`slope_residuals_and_jacobian_2d`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]

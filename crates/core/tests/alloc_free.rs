@@ -317,52 +317,6 @@ fn lane_solve_2d_is_allocation_free_cold_and_warm() {
     assert_eq!(allocs, 0, "warm 2-D lane solve allocated {allocs} times in steady state");
 }
 
-/// The tuned backends hold the same contract: the cached step solver's
-/// per-iteration factor lives in fixed-size arrays inside the core, and
-/// the lane-padded eval gathers into stack arrays — so a `Cached` +
-/// `Padded4` solve is zero-alloc cold and warm once the workspace pools
-/// are sized, exactly like the bit-identity default.
-#[test]
-fn cached_padded_solve_2d_is_allocation_free_cold_and_warm() {
-    let scene = Scene::standard_2d();
-    let tag = SimTag::with_seeded_diversity(9)
-        .with_motion(Motion::planar_static(Vec2::new(0.5, 1.5), 0.8));
-    let survey = scene.survey(&tag, 17);
-    let obs: Vec<AntennaObservation> = scene
-        .antenna_poses()
-        .iter()
-        .zip(&survey.per_antenna)
-        .map(|(&p, r)| extract_observation(p, r, &ExtractConfig::paper()).expect("usable"))
-        .collect();
-    let config = SolverConfig {
-        step_solver: rfp_core::StepSolver::Cached,
-        lane_mode: rfp_core::LaneMode::Padded4,
-        ..SolverConfig::default()
-    };
-    let seeds =
-        rfp_core::solver::SolveSeeds::for_scene(scene.region(), &config, &scene.antenna_poses());
-    let mut ws = rfp_core::solver::SolverWorkspace::default();
-
-    // Sizing pass.
-    rfp_core::solver::solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None)
-        .expect("solvable");
-
-    let (cold, allocs) = allocations_during(|| {
-        rfp_core::solver::solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, None)
-    });
-    let cold = cold.expect("solvable");
-    assert_eq!(allocs, 0, "cold cached+padded solve allocated {allocs} times in steady state");
-
-    let warm = WarmStart::from_estimate(&cold);
-    rfp_core::solver::solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, Some(&warm))
-        .expect("solvable");
-    let (result, allocs) = allocations_during(|| {
-        rfp_core::solver::solve_2d_seeded_warm(&obs, &seeds, &config, &mut ws, Some(&warm))
-    });
-    result.expect("solvable");
-    assert_eq!(allocs, 0, "warm cached+padded solve allocated {allocs} times in steady state");
-}
-
 /// Same contract for the 7-parameter 3-D facade (`LmCore<7>`): cold
 /// dipole-ranked scans and warm re-solves are zero-alloc once the
 /// [`rfp_core::solver3d::Solver3DWorkspace`] pools are sized.

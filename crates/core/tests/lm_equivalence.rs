@@ -4,9 +4,8 @@
 //! solver facades must reproduce the frozen pre-refactor solvers in
 //! `rfp_core::reference` bit-for-bit — same refinements, same sort
 //! orders, same warm-gate decisions, same final estimate down to the last
-//! ulp. Every configuration axis gets a pin: lane mode (4-wide vs the
-//! scalar escape hatch), exhaustive vs pruned scans, analytic vs numeric
-//! Jacobians, RSSI penalty on/off, geometry tables vs direct evaluation,
+//! ulp. Every configuration axis gets a pin: exhaustive vs pruned scans,
+//! analytic vs numeric Jacobians, RSSI penalty on/off, geometry tables vs direct evaluation,
 //! and warm starts both fresh (gate hit) and teleported-stale (gate miss
 //! fallback).
 
@@ -23,7 +22,6 @@ use rfp_core::solver3d::{
     solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace, TagEstimate3D,
     WarmStart3D,
 };
-use rfp_core::LaneMode;
 use rfp_geom::{Vec2, Vec3};
 use rfp_phys::Material;
 use rfp_sim::{Motion, MultipathEnvironment, Scene, SimTag};
@@ -192,14 +190,7 @@ fn scene_3d() -> (Scene, Vec<AntennaObservation>) {
 #[test]
 fn default_wide4_matches_reference_2d() {
     let (scene, obs) = scene_2d();
-    pin_2d(&obs, &scene, &SolverConfig::default(), None, true, "default Wide4");
-}
-
-#[test]
-fn scalar_escape_hatch_matches_reference_2d() {
-    let (scene, obs) = scene_2d();
-    let config = SolverConfig { lane_mode: LaneMode::Scalar, ..SolverConfig::default() };
-    pin_2d(&obs, &scene, &config, None, true, "scalar lane mode");
+    pin_2d(&obs, &scene, &SolverConfig::default(), None, true, "default");
 }
 
 #[test]
@@ -322,14 +313,7 @@ fn dirty_workspace_reuse_is_bit_identical_2d() {
 #[test]
 fn default_wide4_matches_reference_3d() {
     let (scene, obs) = scene_3d();
-    pin_3d(&obs, &scene, &Solver3DConfig::default(), None, true, "default Wide4 3-D");
-}
-
-#[test]
-fn scalar_escape_hatch_matches_reference_3d() {
-    let (scene, obs) = scene_3d();
-    let config = Solver3DConfig { lane_mode: LaneMode::Scalar, ..Solver3DConfig::default() };
-    pin_3d(&obs, &scene, &config, None, true, "scalar lane mode 3-D");
+    pin_3d(&obs, &scene, &Solver3DConfig::default(), None, true, "default 3-D");
 }
 
 #[test]
@@ -383,7 +367,7 @@ fn teleported_warm_start_matches_reference_3d() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Randomized scenes, both lane modes, pruned and exhaustive scans:
+    /// Randomized scenes, pruned and exhaustive scans:
     /// the facade is the oracle bit-for-bit.
     #[test]
     fn facade_matches_reference_2d(
@@ -393,14 +377,11 @@ proptest! {
         material_idx in 0usize..8,
         seed in 0u64..1000,
         clutter in proptest::bool::ANY,
-        scalar in proptest::bool::ANY,
         exhaustive in proptest::bool::ANY,
     ) {
         let Some((scene, obs)) = observations_2d(x, y, alpha, material_idx, seed, clutter)
         else { return Ok(()) };
-        let base = if exhaustive { SolverConfig::exhaustive() } else { SolverConfig::default() };
-        let lane = if scalar { LaneMode::Scalar } else { LaneMode::Wide4 };
-        let config = SolverConfig { lane_mode: lane, ..base };
+        let config = if exhaustive { SolverConfig::exhaustive() } else { SolverConfig::default() };
         pin_2d(&obs, &scene, &config, None, true, "randomized 2-D");
     }
 }
@@ -418,13 +399,10 @@ proptest! {
         dy in -1.0f64..1.0,
         dz in 0.1f64..1.0,
         seed in 0u64..1000,
-        scalar in proptest::bool::ANY,
     ) {
         let Some((scene, obs)) =
             observations_3d(Vec3::new(x, y, z), Vec3::new(dx, dy, dz), seed)
         else { return Ok(()) };
-        let lane = if scalar { LaneMode::Scalar } else { LaneMode::Wide4 };
-        let config = Solver3DConfig { lane_mode: lane, ..Solver3DConfig::default() };
-        pin_3d(&obs, &scene, &config, None, true, "randomized 3-D");
+        pin_3d(&obs, &scene, &Solver3DConfig::default(), None, true, "randomized 3-D");
     }
 }

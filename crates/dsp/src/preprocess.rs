@@ -105,8 +105,8 @@ impl Default for PreprocessConfig {
 pub enum PreprocessError {
     /// No channel had enough reads.
     NoUsableChannels,
-    /// A kept channel's reads carry a NaN/±∞ phase, or its first read a
-    /// non-finite frequency.
+    /// A kept channel's reads carry a NaN/±∞ phase or RSSI, or its first
+    /// read a non-finite frequency.
     NonFiniteInput {
         /// The offending channel.
         channel: usize,
@@ -120,7 +120,7 @@ impl std::fmt::Display for PreprocessError {
                 write!(f, "no channel had enough reads to aggregate")
             }
             PreprocessError::NonFiniteInput { channel } => {
-                write!(f, "channel {channel} has a non-finite phase or frequency")
+                write!(f, "channel {channel} has a non-finite phase, RSSI or frequency")
             }
         }
     }
@@ -137,7 +137,7 @@ impl std::error::Error for PreprocessError {}
 /// Returns [`PreprocessError::NoUsableChannels`] when every channel has
 /// fewer than `config.min_reads_per_channel` reads, and
 /// [`PreprocessError::NonFiniteInput`] when a kept channel carries a
-/// non-finite phase or frequency.
+/// non-finite phase, RSSI or frequency.
 ///
 /// # Example
 ///
@@ -205,8 +205,9 @@ pub fn preprocess_reads(
 /// # Errors
 ///
 /// As [`preprocess_reads`], plus [`PreprocessError::NonFiniteInput`] when
-/// a kept channel's phase resultant or frequency is not finite (a NaN or
-/// infinite phase, or a non-finite frequency on its first read).
+/// a kept channel's phase resultant, RSSI sum or frequency is not finite
+/// (a NaN or infinite phase or RSSI, or a non-finite frequency on its
+/// first read).
 pub fn preprocess_reads_with(
     ws: &mut FrontEndWorkspace,
     reads: &[RawRead],
@@ -272,10 +273,12 @@ pub fn preprocess_reads_with(
             ws.spread[s] = (-2.0 * r.clamp(1e-300, 1.0).ln()).sqrt();
         }
         // A NaN/±∞ phase poisons the channel's resultant (libm returns NaN
-        // for infinite arguments), so one check per channel catches every
-        // non-finite phase that can reach the output; the frequency check
-        // guards the sort and the line fit.
-        if !(ws.axis[s].is_finite() && ws.first_freq[s].is_finite()) {
+        // for infinite arguments), and a NaN/±∞ RSSI its RSSI sum, so one
+        // check per channel catches every non-finite phase or RSSI that can
+        // reach the output; the frequency check guards the sort and the
+        // line fit.
+        if !(ws.axis[s].is_finite() && ws.sum_rssi[s].is_finite() && ws.first_freq[s].is_finite())
+        {
             ws.trig_hits = hits;
             return Err(PreprocessError::NonFiniteInput { channel: ws.chan[s] });
         }
