@@ -1,31 +1,27 @@
-//! Solver profile: what one disentangling solve costs, what the analytic
-//! Jacobian buys over the numeric fallback, and what coarse-to-fine seed
-//! pruning plus warm starts buy over the exhaustive multi-start scan
-//! (DESIGN.md §6).
+//! Solver profile: what one disentangling solve costs, and what
+//! coarse-to-fine seed pruning plus warm starts buy over the exhaustive
+//! multi-start scan (DESIGN.md §6).
 //!
 //! For the 2-D (5-parameter) and 3-D (7-parameter) solves this reports,
 //! per configuration, the single-solve p50 latency and the LM work
 //! counters ([`SolveStats`]): residual-vector evaluations, Jacobian
-//! evaluations and iterations. The numeric core charges its
-//! central-difference sweeps (2 per parameter per iteration) to
-//! `residual_evals` — exactly the cost the fused analytic evaluation
-//! removes — and the seed accounting ([`PruneStats`]) shows how many
-//! multi-start seeds each configuration actually refined.
+//! evaluations and iterations; the seed accounting ([`PruneStats`])
+//! shows how many multi-start seeds each configuration actually refined.
 //!
-//! Four configurations per dimension:
+//! Three configurations per dimension:
 //!
-//! * `analytic`  — the defaults: analytic Jacobian, pruned seed beam;
-//! * `numeric`   — numeric Jacobian, pruned seed beam;
-//! * `exhaustive` — analytic Jacobian, every seed refined (the pre-pruning
-//!   behaviour, bit-for-bit);
-//! * `warm`      — analytic defaults, warm-started from the previous
-//!   solve's estimate (the steady-state regime of a live deployment).
+//! * `analytic`  — the defaults: analytic Jacobian, pruned seed beam (the
+//!   key name is kept because `bench_gate` reads `<dim>.analytic.min_us`);
+//! * `exhaustive` — every seed refined (the pre-pruning behaviour,
+//!   bit-for-bit);
+//! * `warm`      — the defaults, warm-started from the previous solve's
+//!   estimate (the steady-state regime of a live deployment).
 //!
 //! Each entry also carries the damped-step counters ([`StepStats`]):
 //! λ retries beyond each iteration's first attempt and Cholesky
 //! rejections.
 //!
-//! A fifth timing per dimension, `reference`, runs the frozen pre-lane
+//! A fourth timing per dimension, `reference`, runs the frozen pre-lane
 //! oracle (`rfp_core::reference`) cold on the same observations in the
 //! same process, yielding the same-run ratios `lane_speedup_p50` /
 //! `lane_speedup_min` — what the const-generic lane core buys over the
@@ -43,8 +39,8 @@ use rfp_core::reference::{
 };
 use rfp_core::lm::StepStats;
 use rfp_core::solver::{
-    solve_2d_seeded_warm, JacobianMode, PruneStats, SolveSeeds, SolveStats, SolverConfig,
-    SolverWorkspace, WarmStart,
+    solve_2d_seeded_warm, PruneStats, SolveSeeds, SolveStats, SolverConfig, SolverWorkspace,
+    WarmStart,
 };
 use rfp_core::solver3d::{
     solve_3d_seeded_warm, Solve3DSeeds, Solver3DConfig, Solver3DWorkspace, WarmStart3D,
@@ -261,13 +257,11 @@ fn json_entry(p: Profile) -> JsonValue {
     ])
 }
 
-/// One dimension's profiles: the pruned analytic defaults (`analytic`),
-/// the pruned numeric fallback, the exhaustive scan and the warm-started
-/// steady state.
+/// One dimension's profiles: the pruned defaults (`analytic`), the
+/// exhaustive scan and the warm-started steady state.
 #[derive(Clone, Copy)]
 struct DimProfiles {
     analytic: Profile,
-    numeric: Profile,
     exhaustive: Profile,
     warm: Profile,
     /// The frozen pre-lane oracle, cold, same run — latencies only.
@@ -278,7 +272,6 @@ fn dim_json(d: DimProfiles) -> JsonValue {
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
     JsonValue::obj(vec![
         ("analytic", json_entry(d.analytic)),
-        ("numeric", json_entry(d.numeric)),
         ("exhaustive", json_entry(d.exhaustive)),
         ("warm", json_entry(d.warm)),
         (
@@ -295,13 +288,6 @@ fn dim_json(d: DimProfiles) -> JsonValue {
         (
             "lane_speedup_min",
             JsonValue::Num(round2(d.reference.min_us / d.analytic.min_us)),
-        ),
-        ("p50_speedup", JsonValue::Num(round2(d.numeric.p50_us / d.analytic.p50_us))),
-        (
-            "residual_eval_ratio",
-            JsonValue::Num(round2(
-                d.numeric.stats.residual_evals as f64 / d.analytic.stats.residual_evals as f64,
-            )),
         ),
         (
             "prune_speedup",
@@ -343,7 +329,7 @@ fn write_snapshot(d2: DimProfiles, d3: DimProfiles) {
 fn main() {
     report::header(
         "solver_profile",
-        "single-solve cost: Jacobian mode × seed pruning × warm starts",
+        "single-solve cost: seed pruning × warm starts",
     );
     if quick_mode() {
         println!("(quick mode: reduced repeats)");
@@ -351,10 +337,6 @@ fn main() {
 
     let d2 = DimProfiles {
         analytic: profile_2d(SolverConfig::default(), false),
-        numeric: profile_2d(
-            SolverConfig { jacobian: JacobianMode::Numeric, ..SolverConfig::default() },
-            false,
-        ),
         exhaustive: profile_2d(SolverConfig::exhaustive(), false),
         warm: profile_2d(SolverConfig::default(), true),
         reference: profile_2d_reference(&SolverConfig::default()),
@@ -363,7 +345,6 @@ fn main() {
         "2-D (5 parameters, 3 antennas)",
         &[
             ("analytic", d2.analytic),
-            ("numeric", d2.numeric),
             ("exhaustive", d2.exhaustive),
             ("warm", d2.warm),
         ],
@@ -371,10 +352,6 @@ fn main() {
 
     let d3 = DimProfiles {
         analytic: profile_3d(Solver3DConfig::default(), false),
-        numeric: profile_3d(
-            Solver3DConfig { jacobian: JacobianMode::Numeric, ..Solver3DConfig::default() },
-            false,
-        ),
         exhaustive: profile_3d(Solver3DConfig::exhaustive(), false),
         warm: profile_3d(Solver3DConfig::default(), true),
         reference: profile_3d_reference(&Solver3DConfig::default()),
@@ -383,7 +360,6 @@ fn main() {
         "3-D (7 parameters, 6 antennas)",
         &[
             ("analytic", d3.analytic),
-            ("numeric", d3.numeric),
             ("exhaustive", d3.exhaustive),
             ("warm", d3.warm),
         ],
@@ -391,8 +367,7 @@ fn main() {
 
     for (dim, d) in [("2-D", d2), ("3-D", d3)] {
         println!(
-            "  {dim} speedups: numeric/analytic ×{:.2}   exhaustive/pruned ×{:.2}   exhaustive/warm ×{:.2}",
-            d.numeric.p50_us / d.analytic.p50_us,
+            "  {dim} speedups: exhaustive/pruned ×{:.2}   exhaustive/warm ×{:.2}",
             d.exhaustive.p50_us / d.analytic.p50_us,
             d.exhaustive.p50_us / d.warm.p50_us,
         );
@@ -407,21 +382,7 @@ fn main() {
 
     write_snapshot(d2, d3);
 
-    // The headline claim of the analytic path: at least 2× fewer residual
-    // evaluations per solve, in both dimensions.
-    assert!(
-        d2.analytic.stats.residual_evals * 2 <= d2.numeric.stats.residual_evals,
-        "2-D analytic {} evals vs numeric {}",
-        d2.analytic.stats.residual_evals,
-        d2.numeric.stats.residual_evals
-    );
-    assert!(
-        d3.analytic.stats.residual_evals * 2 <= d3.numeric.stats.residual_evals,
-        "3-D analytic {} evals vs numeric {}",
-        d3.analytic.stats.residual_evals,
-        d3.numeric.stats.residual_evals
-    );
-    // And the headline claim of seed pruning: the pruned defaults do at
+    // The headline claim of seed pruning: the pruned defaults do at
     // most half the LM work of the exhaustive scan, in both dimensions.
     // Asserted on the deterministic iteration counters, not wall time — a
     // loaded single-core CI box jitters p50 across the 2× line while the

@@ -209,8 +209,8 @@ pub fn sense_cli(args: &[String]) -> Result<String, CommandError> {
 /// comes from the warm pass; the run counters show the warm-start
 /// hit/miss split.
 ///
-/// Log `read` lines with a NaN or infinite field are skipped; the footer
-/// counts them.
+/// Log `read` lines with a NaN or infinite field or a channel outside the
+/// plan are skipped; the footer counts them.
 pub fn sense(
     log_text: &str,
     calibration_db: Option<&str>,
@@ -246,7 +246,8 @@ pub fn sense_observed(
 /// Renders one counter line of the run summary, resolving names against
 /// the report (missing names read as 0, so the footer never panics).
 /// `skipped_reads` is the count of log `read` lines dropped for a NaN or
-/// infinite field; its line appears only when it is non-zero.
+/// infinite field or an out-of-plan channel; its line appears only when it
+/// is non-zero.
 fn counters_footer(run: &rfp_obs::RunReport, skipped_reads: usize) -> String {
     let c = |name: &str| {
         run.counters
@@ -258,7 +259,11 @@ fn counters_footer(run: &rfp_obs::RunReport, skipped_reads: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "-- run counters --");
     if skipped_reads > 0 {
-        let _ = writeln!(out, "  log: {skipped_reads} reads skipped (NaN or infinite field)");
+        let _ = writeln!(
+            out,
+            "  log: {skipped_reads} reads skipped (NaN or infinite field, or channel outside \
+             the plan)"
+        );
     }
     let _ = writeln!(
         out,
@@ -777,9 +782,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Replacing one field of one `read` line with NaN or ±∞ skips that
-    /// read: the tag table is byte-identical to the one from the log with
-    /// the line deleted, and the footer counts the skipped read.
+    /// Replacing one field of one `read` line with NaN or ±∞, or its
+    /// channel with one outside the plan, skips that read: the tag table is
+    /// byte-identical to the one from the log with the line deleted, and
+    /// the footer counts the skipped read.
     #[test]
     fn non_finite_read_fields_match_a_deleted_line() {
         let log_text = simulate(&args(&["--tags", "3", "--seed", "1"])).unwrap();
@@ -801,8 +807,16 @@ mod tests {
         let table = |s: &str| s.split("-- run counters --").next().unwrap().to_string();
         let deleted = sense(&with_line(None), None, 1, false).unwrap();
         assert!(!deleted.contains("skipped"), "{deleted}");
-        // Fields 4..=7: frequency, phase, RSSI, timestamp.
-        for (field, bad) in [(4, "inf"), (5, "NaN"), (6, "NaN"), (7, "-inf")] {
+        // Field 3: channel (past the plan's 50 channels, and u64::MAX);
+        // fields 4..=7: frequency, phase, RSSI, timestamp.
+        for (field, bad) in [
+            (3, "50"),
+            (3, "18446744073709551615"),
+            (4, "inf"),
+            (5, "NaN"),
+            (6, "NaN"),
+            (7, "-inf"),
+        ] {
             let mut fields: Vec<&str> = lines[at].split_whitespace().collect();
             fields[field] = bad;
             let corrupted = sense(&with_line(Some(fields.join(" "))), None, 1, false).unwrap();

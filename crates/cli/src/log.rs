@@ -11,8 +11,8 @@
 //! Everything after `#` on a line is a comment. Lines may appear in any
 //! order except that `read` lines must follow the `antenna`/`plan` lines
 //! they reference. A `read` line whose frequency, phase, RSSI or timestamp
-//! parses to NaN or ±∞ is skipped and counted in
-//! [`SurveyLog::skipped_reads`].
+//! parses to NaN or ±∞, or whose channel is not below the `plan` channel
+//! count, is skipped and counted in [`SurveyLog::skipped_reads`].
 
 use rfp_dsp::preprocess::RawRead;
 use rfp_geom::{AntennaPose, Vec2, Vec3};
@@ -50,7 +50,7 @@ pub struct SurveyLog {
     /// Per-tag records, keyed by tag id.
     pub tags: BTreeMap<u64, TagRecord>,
     /// `read` lines dropped by [`SurveyLog::from_text`] because a numeric
-    /// field was NaN or infinite.
+    /// field was NaN or infinite or the channel lay outside the plan.
     pub skipped_reads: usize,
 }
 
@@ -277,9 +277,17 @@ impl SurveyLog {
         let poses: Vec<AntennaPose> = (0..n_ant)
             .map(|i| poses.get(&i).copied().ok_or(LogError::MissingAntennas))
             .collect::<Result<_, _>>()?;
-        // Normalize every tag's grouping to the full antenna count.
+        // Normalize every tag's grouping to the full antenna count, and
+        // drop reads on a channel the plan does not have: the front end
+        // indexes its per-channel tables by channel id.
+        let channels = plan.channel_count();
         for record in tags.values_mut() {
             record.per_antenna.resize(n_ant, Vec::new());
+            for reads in &mut record.per_antenna {
+                let before = reads.len();
+                reads.retain(|r| r.channel < channels);
+                skipped_reads += before - reads.len();
+            }
         }
         Ok(SurveyLog { plan, poses, tags, skipped_reads })
     }
@@ -377,6 +385,20 @@ mod tests {
             assert_eq!(log.tags[&1].per_antenna[0].len(), 2, "{bad}");
         }
         assert_eq!(SurveyLog::from_text(&format!("{head}{good}")).unwrap().skipped_reads, 0);
+    }
+
+    #[test]
+    fn out_of_plan_channels_are_skipped_and_counted() {
+        let head = "plan 9e8 5e5 50\nantenna 0 0 0 0 0 1 0 0\n";
+        let good = "read 1 0 49 9.245e8 1.5 -50 0.25\n";
+        for bad in [
+            "read 1 0 50 9.25e8 1.5 -50 0.5\n",
+            "read 1 0 18446744073709551615 9e8 1 -50 0.5\n",
+        ] {
+            let log = SurveyLog::from_text(&format!("{head}{good}{bad}{good}")).unwrap();
+            assert_eq!(log.skipped_reads, 1, "{bad}");
+            assert_eq!(log.tags[&1].per_antenna[0].len(), 2, "{bad}");
+        }
     }
 
     #[test]

@@ -81,9 +81,7 @@ pub use pipeline::{RfPrism, RfPrismConfig, SenseError, SenseWorkspace, SensingRe
 pub use pipeline3d::{
     RfPrism3D, RfPrism3DConfig, Sense3DError, Sense3DWorkspace, Sensing3DResult,
 };
-pub use solver::{
-    JacobianMode, PruneStats, SolveStats, SolverConfig, TagEstimate2D, WarmGate, WarmStart,
-};
+pub use solver::{PruneStats, SolveStats, SolverConfig, TagEstimate2D, WarmGate, WarmStart};
 pub use solver3d::{TagEstimate3D, WarmStart3D};
 pub use streaming::StreamingSession;
 pub use tracking::{TagTracker, TrackerConfig};

@@ -2,9 +2,8 @@
 //!
 //! The 2-D solver fits 5 parameters and the 3-D solver fits 7, but the LM
 //! machinery between them — fused residual+Jacobian evaluation, normal
-//! equations, Cholesky (analytic) or Gaussian elimination (numeric
-//! fallback), the λ damping/retry policy — is byte-for-byte the same
-//! algorithm. [`LmCore`] is that algorithm, const-generic over the
+//! equations, Cholesky step, the λ damping/retry policy — is byte-for-byte
+//! the same algorithm. [`LmCore`] is that algorithm, const-generic over the
 //! parameter count `P`, with the problem physics abstracted behind
 //! [`ResidualModel`]. Both solvers are thin facades over it, and a new
 //! P-parameter sensing head gets the whole refinement stack by
@@ -17,7 +16,8 @@
 //! in fixed-size arrays: no bounds checks in the `P`-indexed kernels, no
 //! `clear`/`resize` churn per refinement, and loop trip counts the
 //! compiler can fully unroll. Every floating-point operation runs in the
-//! same order as the dynamic cores, so results are **bit-identical**.
+//! same order as the dynamic analytic core, so results are
+//! **bit-identical**.
 //!
 //! # Lane accounting
 //!
@@ -36,10 +36,9 @@
 //!
 //! Each LM iteration solves the damped normal equations
 //! `(JᵀJ + λ·diag(JᵀJ))δ = −Jᵀr`, and the λ retry policy may re-solve the
-//! same system at several λ before a step is accepted. The analytic path
-//! copies, damps and Cholesky-factors the `P×P` system on every attempt;
-//! the numeric fallback uses pivoted Gaussian elimination. Both match the
-//! frozen dynamic cores operation for operation.
+//! same system at several λ before a step is accepted. Every attempt
+//! copies, damps and Cholesky-factors the `P×P` system, exactly as the
+//! frozen dynamic analytic core does.
 
 use crate::solver::SolveStats;
 
@@ -89,9 +88,8 @@ pub struct StepStats {
     /// escalation, whether from a factorization failure or a rejected
     /// (cost-increasing) trial step.
     pub lambda_retries: u64,
-    /// Damped systems the backend refused to solve (Cholesky pivot
-    /// failure or singular elimination) — each one escalates λ ×10 and
-    /// retries.
+    /// Damped systems the Cholesky factorization rejected (not
+    /// numerically SPD) — each one escalates λ ×10 and retries.
     pub chol_failures: u64,
 }
 
@@ -128,13 +126,12 @@ pub trait ResidualModel<const P: usize> {
     /// row-major `m × P` Jacobian `∂r/∂p` in the same fused pass.
     ///
     /// Must fully overwrite both buffers (`clear` + fill). When `jac` is
-    /// `None` only the residuals are needed (trial-point evaluations and
-    /// the numeric fallback's difference sweeps).
+    /// `None` only the residuals are needed (trial-point evaluations).
     fn eval(&self, p: &[f64; P], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>);
 }
 
-/// The dimension-generic LM engine: scratch buffers plus the analytic and
-/// numeric refinement loops, const-generic over the parameter count.
+/// The dimension-generic LM engine: scratch buffers plus the refinement
+/// loop, const-generic over the parameter count.
 ///
 /// The residual and Jacobian buffers grow to the model's row count on the
 /// first refinement and are reused afterwards; everything `P`-sized lives
@@ -144,7 +141,6 @@ pub trait ResidualModel<const P: usize> {
 pub struct LmCore<const P: usize> {
     r: Vec<f64>,
     r_plus: Vec<f64>,
-    r_minus: Vec<f64>,
     /// Row-major `m × P` Jacobian.
     jac: Vec<f64>,
     /// Normal matrix `JᵀJ` and its damped factorization scratch.
@@ -164,7 +160,6 @@ impl<const P: usize> Default for LmCore<P> {
         LmCore {
             r: Vec::new(),
             r_plus: Vec::new(),
-            r_minus: Vec::new(),
             jac: Vec::new(),
             jtj: [[0.0; P]; P],
             chol: [[0.0; P]; P],
@@ -260,18 +255,15 @@ impl<const P: usize> LmCore<P> {
         self.charge_lanes(m);
     }
 
-    /// The λ damping/retry policy shared by the analytic and numeric
-    /// refinement paths — the **single** home of the retry block: up to 8
-    /// damped-step attempts, λ ×10 on a factorization failure, λ ×4 on a
-    /// rejected (cost-increasing) trial, λ/3 (floored at 1e-12) on an
-    /// accepted step. Identical floating-point behaviour to the frozen
-    /// dynamic cores for both backends.
-    #[allow(clippy::too_many_arguments)]
+    /// The λ damping/retry policy of one iteration: up to 8 damped-step
+    /// attempts, λ ×10 on a factorization failure, λ ×4 on a rejected
+    /// (cost-increasing) trial, λ/3 (floored at 1e-12) on an accepted
+    /// step. Identical floating-point behaviour to the frozen dynamic
+    /// analytic core.
     fn lambda_retry<M: ResidualModel<P>>(
         &mut self,
         model: &M,
         m: usize,
-        backend: StepBackend,
         p: &mut [f64; P],
         cost: &mut f64,
         lambda: &mut f64,
@@ -281,23 +273,13 @@ impl<const P: usize> LmCore<P> {
             if attempt > 0 {
                 self.steps.lambda_retries += 1;
             }
-            let solved = match backend {
-                StepBackend::Cholesky => damped_step_cholesky(
-                    &self.jtj,
-                    &self.jtr,
-                    *lambda,
-                    &mut self.chol,
-                    &mut self.delta,
-                ),
-                StepBackend::Gauss => damped_step_gauss(
-                    &self.jtj,
-                    &self.jtr,
-                    *lambda,
-                    &mut self.chol,
-                    &mut self.delta,
-                ),
-            };
-            if !solved {
+            if !damped_step_cholesky(
+                &self.jtj,
+                &self.jtr,
+                *lambda,
+                &mut self.chol,
+                &mut self.delta,
+            ) {
                 self.steps.chol_failures += 1;
                 *lambda *= 10.0;
                 continue;
@@ -326,7 +308,7 @@ impl<const P: usize> LmCore<P> {
     }
 
     /// Levenberg–Marquardt with the model's fused analytic
-    /// residual+Jacobian — the hot path. The damping/retry policy and
+    /// residual+Jacobian. The damping/retry policy and
     /// every floating-point operation match
     /// [`levenberg_marquardt_analytic_with`](crate::solver::levenberg_marquardt_analytic_with)
     /// exactly, so results are bit-identical to the dynamic core.
@@ -359,18 +341,10 @@ impl<const P: usize> LmCore<P> {
                 self.charge_lanes(m);
             }
             // Assemble the normal equations once; the λ retries below
-            // reuse them and only re-damp (or re-shift) the diagonal.
+            // reuse them and only re-damp the diagonal.
             self.assemble_normal_equations(m);
 
-            match self.lambda_retry(
-                model,
-                m,
-                StepBackend::Cholesky,
-                &mut p,
-                &mut cost,
-                &mut lambda,
-                tolerance,
-            ) {
+            match self.lambda_retry(model, m, &mut p, &mut cost, &mut lambda, tolerance) {
                 RetryOutcome::Converged => return (p, cost),
                 RetryOutcome::Improved => jac_fresh = false,
                 RetryOutcome::Exhausted => break,
@@ -378,81 +352,6 @@ impl<const P: usize> LmCore<P> {
         }
         (p, cost)
     }
-
-    /// Levenberg–Marquardt with a central-difference Jacobian and
-    /// per-parameter step scales — the numeric fallback. The policy and
-    /// operation order match
-    /// [`levenberg_marquardt_with`](crate::solver::levenberg_marquardt_with)
-    /// exactly (bit-identical results); only residual evaluations
-    /// (`jac: None`) are requested from the model.
-    #[allow(clippy::needless_range_loop)] // index loops mirror the frozen core verbatim
-    pub fn refine_numeric<M: ResidualModel<P>>(
-        &mut self,
-        model: &M,
-        mut p: [f64; P],
-        steps: &[f64; P],
-        max_iterations: usize,
-        tolerance: f64,
-    ) -> ([f64; P], f64) {
-        model.eval(&p, &mut self.r, None);
-        self.stats.residual_evals += 1;
-        let mut cost: f64 = self.r.iter().map(|v| v * v).sum();
-        let m = self.r.len();
-        self.charge_lanes(m);
-
-        let mut lambda = 1e-3;
-        self.jac.clear();
-        self.jac.resize(m * P, 0.0);
-
-        for _ in 0..max_iterations {
-            self.stats.iterations += 1;
-            // Numeric Jacobian (central differences, per-parameter steps).
-            for j in 0..P {
-                let h = steps[j];
-                let saved = p[j];
-                p[j] = saved + h;
-                model.eval(&p, &mut self.r_plus, None);
-                p[j] = saved - h;
-                model.eval(&p, &mut self.r_minus, None);
-                p[j] = saved;
-                for i in 0..m {
-                    self.jac[i * P + j] = (self.r_plus[i] - self.r_minus[i]) / (2.0 * h);
-                }
-            }
-            self.stats.residual_evals += 2 * P as u64;
-            self.stats.jacobian_evals += 1;
-            self.charge_lanes(2 * P * m);
-            // Normal equations — same accumulation order as the dynamic
-            // numeric core (bit-identical results).
-            self.assemble_normal_equations(m);
-
-            // Damped solve with retry on cost increase; the difference
-            // Jacobian is less trustworthy than the analytic one, so this
-            // path keeps pivoted Gaussian elimination as its backend.
-            match self.lambda_retry(
-                model,
-                m,
-                StepBackend::Gauss,
-                &mut p,
-                &mut cost,
-                &mut lambda,
-                tolerance,
-            ) {
-                RetryOutcome::Converged => return (p, cost),
-                RetryOutcome::Improved => {}
-                RetryOutcome::Exhausted => break,
-            }
-        }
-        (p, cost)
-    }
-}
-
-/// The internal dispatch of [`LmCore::lambda_retry`]: the analytic
-/// path's Cholesky step or the numeric path's pivoted elimination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StepBackend {
-    Cholesky,
-    Gauss,
 }
 
 /// What one pass of the λ retry loop did to the running iterate.
@@ -467,10 +366,9 @@ enum RetryOutcome {
 }
 
 /// One damped normal-equation step
-/// `(JᵀJ + λ·diag(JᵀJ)₊)δ = −Jᵀr` by copy + damp + Cholesky — the
-/// bit-identity reference backend (exactly the frozen dynamic cores'
-/// operations, in their order). `scratch` receives the damped factor;
-/// `delta` the step. Returns `false` when the damped matrix is not
+/// `(JᵀJ + λ·diag(JᵀJ)₊)δ = −Jᵀr` by copy + damp + Cholesky (exactly the
+/// frozen dynamic analytic core's operations, in their order). `scratch`
+/// receives the damped factor; `delta` the step. Returns `false` when the damped matrix is not
 /// numerically SPD — the caller escalates λ and retries.
 fn damped_step_cholesky<const P: usize>(
     jtj: &[[f64; P]; P],
@@ -491,25 +389,6 @@ fn damped_step_cholesky<const P: usize>(
     }
     cholesky_solve(scratch, delta);
     true
-}
-
-/// The numeric fallback's damped step: copy + damp + pivoted Gaussian
-/// elimination (same operations and order as the frozen numeric core).
-fn damped_step_gauss<const P: usize>(
-    jtj: &[[f64; P]; P],
-    jtr: &[f64; P],
-    lambda: f64,
-    scratch: &mut [[f64; P]; P],
-    delta: &mut [f64; P],
-) -> bool {
-    *scratch = *jtj;
-    for d in 0..P {
-        scratch[d][d] += lambda * jtj[d][d].max(1e-12);
-    }
-    for a in 0..P {
-        delta[a] = -jtr[a];
-    }
-    gauss_solve(scratch, delta)
 }
 
 /// In-place Cholesky factorization `A = LLᵀ`; on success the lower
@@ -555,50 +434,10 @@ fn cholesky_solve<const P: usize>(l: &[[f64; P]; P], b: &mut [f64; P]) {
     }
 }
 
-/// In-place Gaussian elimination with partial pivoting; pivot selection,
-/// elimination order and back-substitution match the dynamic
-/// `solve_linear_in_place` exactly (the numeric core stays a bit-exact
-/// oracle). Returns `false` when singular.
-#[allow(clippy::needless_range_loop)] // index loops mirror the frozen core verbatim
-fn gauss_solve<const P: usize>(a: &mut [[f64; P]; P], b: &mut [f64; P]) -> bool {
-    for col in 0..P {
-        let mut pivot = col;
-        for row in (col + 1)..P {
-            if a[row][col].abs() > a[pivot][col].abs() {
-                pivot = row;
-            }
-        }
-        if a[pivot][col].abs() < 1e-300 {
-            return false;
-        }
-        if pivot != col {
-            a.swap(col, pivot);
-            b.swap(col, pivot);
-        }
-        for row in (col + 1)..P {
-            let factor = a[row][col] / a[col][col];
-            for k in col..P {
-                a[row][k] -= factor * a[col][k];
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    for col in (0..P).rev() {
-        let mut s = b[col];
-        for k in (col + 1)..P {
-            s -= a[col][k] * b[k];
-        }
-        b[col] = s / a[col][col];
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{
-        levenberg_marquardt_analytic_with, levenberg_marquardt_with, LmWorkspace,
-    };
+    use crate::solver::{levenberg_marquardt_analytic_with, LmWorkspace};
 
     /// Fit y = a·x + b over 10 points — a tiny 2-parameter model whose
     /// analytic Jacobian is exact.
@@ -651,32 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn numeric_refine_matches_dynamic_core_bitwise() {
-        let model = line_model();
-        let mut core = LmCore::<2>::default();
-        let steps = [1e-5, 1e-5];
-        let (p, cost) = core.refine_numeric(&model, [0.0, 0.0], &steps, 100, 1e-14);
-
-        let mut ws = LmWorkspace::default();
-        let residual = |p: &[f64], out: &mut Vec<f64>| {
-            let pa = [p[0], p[1]];
-            model.eval(&pa, out, None);
-        };
-        let (pd, costd) = levenberg_marquardt_with(
-            &mut ws,
-            &residual,
-            vec![0.0, 0.0],
-            &steps,
-            100,
-            1e-14,
-        );
-        assert_eq!(p[0].to_bits(), pd[0].to_bits());
-        assert_eq!(p[1].to_bits(), pd[1].to_bits());
-        assert_eq!(cost.to_bits(), costd.to_bits());
-        assert_eq!(core.stats(), ws.stats());
-    }
-
-    #[test]
     fn lane_tallies_split_blocks_and_remainder() {
         let model = line_model();
         let mut core = LmCore::<2>::default();
@@ -701,21 +514,5 @@ mod tests {
         }
         let mut indef = [[1.0, 2.0], [2.0, 1.0]];
         assert!(!cholesky_factor(&mut indef));
-    }
-
-    #[test]
-    fn fixed_size_gauss_pivots_and_rejects_singular() {
-        let a0 = [[0.0, 2.0, 1.0], [1.0, 1.0, 0.5], [3.0, 0.1, 2.0]];
-        let b0 = [1.0, 2.0, 3.0];
-        let mut a = a0;
-        let mut x = b0;
-        assert!(gauss_solve(&mut a, &mut x));
-        for i in 0..3 {
-            let ax: f64 = (0..3).map(|j| a0[i][j] * x[j]).sum();
-            assert!((ax - b0[i]).abs() < 1e-10, "row {i}: {ax} vs {}", b0[i]);
-        }
-        let mut sing = [[1.0, 2.0], [2.0, 4.0]];
-        let mut b = [1.0, 2.0];
-        assert!(!gauss_solve(&mut sing, &mut b));
     }
 }

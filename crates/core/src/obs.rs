@@ -4,9 +4,9 @@
 //! here, in two interchangeable implementations:
 //!
 //! * with the `obs` feature **on**, probes forward to the thread-local
-//!   recorder in [`rfp_obs`] — spans aggregate into a stage tree, counters
-//!   and histograms land in a [`rfp_obs::Registry`] over the [`METRICS`]
-//!   descriptor table, and a caller (the CLI, a bench, a test) collects
+//!   recorder in `rfp_obs` — spans aggregate into a stage tree, counters
+//!   and histograms land in an `rfp_obs::Registry` over the `METRICS`
+//!   descriptor table (both exist only with the feature on), and a caller (the CLI, a bench, a test) collects
 //!   everything via `rfp_obs::recorder::observe`;
 //! * with the feature **off** (the default), every probe is an empty
 //!   `#[inline(always)]` function and [`active`] is a `const false`, so
@@ -21,7 +21,7 @@
 //! Metrics are addressed by the compile-time indices in [`id`]; the
 //! recording hot path does no hashing and no allocation.
 
-/// Indices into [`METRICS`] — the stable metric addresses
+/// Indices into `METRICS` — the stable metric addresses
 /// the probes use. The table test pins each index to its metric name.
 pub mod id {
     /// `solver2d.solves` — completed 2-D joint solves.

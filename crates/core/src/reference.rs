@@ -12,6 +12,13 @@
 //! * the `lm_equivalence` suite uses them as an independent bit-exact
 //!   oracle for the const-generic facades.
 //!
+//! The oracle also keeps the two paths the production solvers dropped:
+//! the legacy exhaustive stage-1 loop (taken when the config has an
+//! unbounded beam and no early exit) and the central-difference LM core,
+//! selected per workspace with [`JacobianMode`] (for example
+//! [`Reference2DWorkspace::numeric`]) — the independent check that the
+//! analytic Jacobian converges to the same optimum.
+//!
 //! The only deliberate differences from the historical entry points are
 //! that the observability spans/counters and the pruning tallies are
 //! stripped (the oracle must not perturb the measured path's telemetry)
@@ -23,8 +30,8 @@
 
 use crate::model::AntennaObservation;
 use crate::solver::{
-    levenberg_marquardt_analytic_with, levenberg_marquardt_with, JacobianMode, LmWorkspace,
-    SeedGeometry, SolveError, SolveSeeds, SolverConfig, TagEstimate2D, WarmStart,
+    levenberg_marquardt_analytic_with, levenberg_marquardt_with, LmWorkspace, SeedGeometry,
+    SolveError, SolveSeeds, SolverConfig, TagEstimate2D, WarmStart,
 };
 use crate::solver3d::{
     SeedGeometry3D, Solve3DError, Solve3DSeeds, Solver3DConfig, TagEstimate3D, WarmStart3D,
@@ -33,15 +40,43 @@ use rfp_geom::{angle, Vec2, Vec3};
 use rfp_phys::polarization::{orientation_phase, planar_dipole, projection_magnitude};
 use rfp_phys::propagation;
 
+/// How the oracle's LM refinements obtain the Jacobian of the residuals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum JacobianMode {
+    /// Closed-form ∂r/∂p (DESIGN.md §6), evaluated fused with the
+    /// residuals, normal equations solved by Cholesky — what the
+    /// production solvers run.
+    #[default]
+    Analytic,
+    /// Central-difference Jacobian through the numeric
+    /// [`levenberg_marquardt_with`] core, with per-parameter step scales —
+    /// the independent check on the analytic derivation.
+    Numeric,
+}
+
 // ---------------------------------------------------------------------------
 // 2-D reference solver
 // ---------------------------------------------------------------------------
+
+/// The oracle's LM scratch plus the [`JacobianMode`] its refinements run
+/// (analytic by default).
+#[derive(Debug, Default)]
+struct OracleLm {
+    ws: LmWorkspace,
+    jacobian: JacobianMode,
+}
+
+impl OracleLm {
+    fn numeric() -> Self {
+        OracleLm { ws: LmWorkspace::default(), jacobian: JacobianMode::Numeric }
+    }
+}
 
 /// Scratch buffers of the frozen 2-D solver — the pre-refactor
 /// `SolverWorkspace` shape, parameter free-list included.
 #[derive(Debug, Default)]
 pub struct Reference2DWorkspace {
-    lm: LmWorkspace,
+    lm: OracleLm,
     position_candidates: Vec<(Vec<f64>, f64, usize)>,
     coarse: Vec<(f64, usize, f64)>,
     alpha_ranked: Vec<(f64, f64, f64)>,
@@ -63,6 +98,13 @@ struct UncertScratch {
     jtj: Vec<f64>,
     cov: Vec<f64>,
     e: Vec<f64>,
+}
+
+impl Reference2DWorkspace {
+    /// A workspace whose solves refine with the central-difference core.
+    pub fn numeric() -> Self {
+        Reference2DWorkspace { lm: OracleLm::numeric(), ..Self::default() }
+    }
 }
 
 /// Pops a recycled parameter vector off the free-list (or makes an empty
@@ -163,7 +205,7 @@ pub fn solve_2d_reference(
         params_pool.push(sp);
         let floor = alpha_ranked.first().map_or(f64::INFINITY, |&(_, _, c)| c);
         if in_region && key <= floor * (1.0 + config.warm_gate_rel_tol) + 1e-9 {
-            let estimate = build_estimate_2d(observations, &p, cost, config, uncert);
+            let estimate = build_estimate_2d(observations, &p, cost, config, lm.jacobian, uncert);
             params_pool.push(p);
             return Ok(estimate);
         }
@@ -287,7 +329,7 @@ pub fn solve_2d_reference(
 
     let (best_idx, _) = best_inside.or(best_any).expect("at least one start");
     let (p, cost) = refined.swap_remove(best_idx);
-    let estimate = build_estimate_2d(observations, &p, cost, config, uncert);
+    let estimate = build_estimate_2d(observations, &p, cost, config, lm.jacobian, uncert);
     params_pool.push(p);
     Ok(estimate)
 }
@@ -403,11 +445,12 @@ fn build_estimate_2d(
     p: &[f64],
     cost: f64,
     config: &SolverConfig,
+    jacobian: JacobianMode,
     scratch: &mut UncertScratch,
 ) -> TagEstimate2D {
     let n_res = 2 * observations.len();
     let (position_std_m, orientation_std_rad, position_cov) =
-        estimate_uncertainty(observations, p, config, scratch);
+        estimate_uncertainty(observations, p, config, jacobian, scratch);
     TagEstimate2D {
         position: Vec2::new(p[0], p[1]),
         orientation: p[2].rem_euclid(std::f64::consts::PI),
@@ -427,17 +470,17 @@ const JOINT_STEPS_2D: [f64; 5] = [1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
 /// Steps of the numeric-fallback slope-only (stage-1) solve: x, y, k_t.
 const SLOPE_STEPS_2D: [f64; 3] = [1e-4, 1e-4, 1e-13];
 
-/// Joint 5-parameter LM refinement, dispatched on the configured
+/// Joint 5-parameter LM refinement, dispatched on the workspace's
 /// [`JacobianMode`].
 fn refine_joint_2d(
-    lm: &mut LmWorkspace,
+    lm: &mut OracleLm,
     observations: &[AntennaObservation],
     config: &SolverConfig,
     p0: Vec<f64>,
 ) -> (Vec<f64>, f64) {
-    match config.jacobian {
+    match lm.jacobian {
         JacobianMode::Analytic => levenberg_marquardt_analytic_with(
-            lm,
+            &mut lm.ws,
             &|p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
                 residuals_and_jacobian_2d(observations, p, config, r, jac)
             },
@@ -446,7 +489,7 @@ fn refine_joint_2d(
             config.tolerance,
         ),
         JacobianMode::Numeric => levenberg_marquardt_with(
-            lm,
+            &mut lm.ws,
             &|p: &[f64], out: &mut Vec<f64>| {
                 residuals_and_jacobian_2d(observations, p, config, out, None)
             },
@@ -459,16 +502,16 @@ fn refine_joint_2d(
 }
 
 /// Stage-1 slope-only LM refinement over `(x, y, k_t)`, dispatched on the
-/// configured [`JacobianMode`].
+/// workspace's [`JacobianMode`].
 fn refine_slope_2d(
-    lm: &mut LmWorkspace,
+    lm: &mut OracleLm,
     observations: &[AntennaObservation],
     config: &SolverConfig,
     p0: Vec<f64>,
 ) -> (Vec<f64>, f64) {
-    match config.jacobian {
+    match lm.jacobian {
         JacobianMode::Analytic => levenberg_marquardt_analytic_with(
-            lm,
+            &mut lm.ws,
             &|p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
                 slope_residuals_and_jacobian_2d(observations, p, config, r, jac)
             },
@@ -477,7 +520,7 @@ fn refine_slope_2d(
             config.tolerance,
         ),
         JacobianMode::Numeric => levenberg_marquardt_with(
-            lm,
+            &mut lm.ws,
             &|p: &[f64], out: &mut Vec<f64>| {
                 slope_residuals_and_jacobian_2d(observations, p, config, out, None)
             },
@@ -497,12 +540,13 @@ fn estimate_uncertainty(
     observations: &[AntennaObservation],
     p: &[f64],
     config: &SolverConfig,
+    jacobian: JacobianMode,
     scratch: &mut UncertScratch,
 ) -> (f64, f64, [[f64; 2]; 2]) {
     let n = p.len();
     let UncertScratch { r, r_minus, work, jac, jtj, cov, e } = scratch;
     jac.clear();
-    match config.jacobian {
+    match jacobian {
         JacobianMode::Analytic => {
             residuals_and_jacobian_2d(observations, p, config, r, Some(jac));
         }
@@ -781,7 +825,7 @@ fn cholesky_solve(l: &[f64], n: usize, b: &mut [f64]) {
 /// `Solver3DWorkspace` shape.
 #[derive(Debug, Default)]
 pub struct Reference3DWorkspace {
-    lm: LmWorkspace,
+    lm: OracleLm,
     position_candidates: Vec<(Vec<f64>, f64, usize)>,
     coarse: Vec<(f64, usize, f64)>,
     dipole_ranked: Vec<(f64, f64, f64, f64)>,
@@ -789,6 +833,13 @@ pub struct Reference3DWorkspace {
     orient_row: Vec<f64>,
     proj_row: Vec<f64>,
     refined: Vec<(Vec<f64>, f64)>,
+}
+
+impl Reference3DWorkspace {
+    /// A workspace whose solves refine with the central-difference core.
+    pub fn numeric() -> Self {
+        Reference3DWorkspace { lm: OracleLm::numeric(), ..Self::default() }
+    }
 }
 
 /// True when the multi-start scan runs the legacy exhaustive loop.
@@ -1178,17 +1229,17 @@ const JOINT_STEPS_3D: [f64; 7] = [1e-4, 1e-4, 1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
 /// Steps of the numeric-fallback slope-only (stage-1) solve: x, y, z, k_t.
 const SLOPE_STEPS_3D: [f64; 4] = [1e-4, 1e-4, 1e-4, 1e-13];
 
-/// Joint 7-parameter LM refinement, dispatched on the configured
+/// Joint 7-parameter LM refinement, dispatched on the workspace's
 /// [`JacobianMode`].
 fn refine_joint_3d(
-    lm: &mut LmWorkspace,
+    lm: &mut OracleLm,
     observations: &[AntennaObservation],
     config: &Solver3DConfig,
     p0: Vec<f64>,
 ) -> (Vec<f64>, f64) {
-    match config.jacobian {
+    match lm.jacobian {
         JacobianMode::Analytic => levenberg_marquardt_analytic_with(
-            lm,
+            &mut lm.ws,
             &|p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
                 residuals_and_jacobian_3d(observations, p, config, r, jac)
             },
@@ -1197,7 +1248,7 @@ fn refine_joint_3d(
             config.tolerance,
         ),
         JacobianMode::Numeric => levenberg_marquardt_with(
-            lm,
+            &mut lm.ws,
             &|p: &[f64], out: &mut Vec<f64>| {
                 residuals_and_jacobian_3d(observations, p, config, out, None)
             },
@@ -1210,16 +1261,16 @@ fn refine_joint_3d(
 }
 
 /// Stage-1 slope-only LM refinement over `(x, y, z, k_t)`, dispatched on
-/// the configured [`JacobianMode`].
+/// the workspace's [`JacobianMode`].
 fn refine_slope_3d(
-    lm: &mut LmWorkspace,
+    lm: &mut OracleLm,
     observations: &[AntennaObservation],
     config: &Solver3DConfig,
     p0: Vec<f64>,
 ) -> (Vec<f64>, f64) {
-    match config.jacobian {
+    match lm.jacobian {
         JacobianMode::Analytic => levenberg_marquardt_analytic_with(
-            lm,
+            &mut lm.ws,
             &|p: &[f64], r: &mut Vec<f64>, jac: Option<&mut Vec<f64>>| {
                 slope_residuals_and_jacobian_3d(observations, p, config, r, jac)
             },
@@ -1228,7 +1279,7 @@ fn refine_slope_3d(
             config.tolerance,
         ),
         JacobianMode::Numeric => levenberg_marquardt_with(
-            lm,
+            &mut lm.ws,
             &|p: &[f64], out: &mut Vec<f64>| {
                 slope_residuals_and_jacobian_3d(observations, p, config, out, None)
             },

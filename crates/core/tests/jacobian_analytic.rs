@@ -1,23 +1,27 @@
 //! Analytic-Jacobian verification (DESIGN.md §6): across random scenes,
 //! poses and evaluation points, the closed-form `∂r/∂p` of the 2-D and
 //! 3-D residuals must agree with central differences to ≤ 1e-6
-//! elementwise, and the analytic and numeric-fallback LM paths must
-//! converge to the same optimum on clean synthetic scenes.
+//! elementwise, and the analytic solvers must converge to the same
+//! optimum as the frozen oracle refining with central differences
+//! ([`Reference2DWorkspace::numeric`]) on clean synthetic scenes.
 
 use proptest::prelude::*;
 use rfp_core::model::AntennaObservation;
+use rfp_core::reference::{
+    solve_2d_reference, solve_3d_reference, Reference2DWorkspace, Reference3DWorkspace,
+};
 use rfp_core::solver::{
-    residuals_2d, residuals_and_jacobian_2d, solve_2d, JacobianMode, SolverConfig,
+    residuals_2d, residuals_and_jacobian_2d, solve_2d, SolveSeeds, SolverConfig,
 };
 use rfp_core::solver3d::{
-    residuals_3d, residuals_and_jacobian_3d, solve_3d, Solver3DConfig,
+    residuals_3d, residuals_and_jacobian_3d, solve_3d, Solve3DSeeds, Solver3DConfig,
 };
 use rfp_geom::{angle, AntennaPose, Vec2, Vec3};
 use rfp_phys::polarization::{orientation_phase, planar_dipole};
 use rfp_phys::propagation;
 use rfp_sim::Scene;
 
-/// Central-difference steps matching the solver's numeric fallback.
+/// Central-difference steps matching the oracle's numeric mode.
 const STEPS_2D: [f64; 5] = [1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
 const STEPS_3D: [f64; 7] = [1e-4, 1e-4, 1e-4, 1e-4, 1e-4, 1e-13, 1e-4];
 
@@ -160,8 +164,9 @@ proptest! {
         );
     }
 
-    /// Analytic and numeric LM land on the same optimum — the exact truth —
-    /// to well within 1e-9 on clean synthetic 2-D scenes.
+    /// The analytic solver and the central-difference oracle land on the
+    /// same optimum — the exact truth — to well within 1e-9 on clean
+    /// synthetic 2-D scenes.
     #[test]
     fn analytic_and_numeric_lm_converge_identically_2d(
         x in -0.3f64..1.3,
@@ -179,10 +184,17 @@ proptest! {
             kt,
             bt,
         );
-        let analytic = solve_2d(&obs, scene.region(), &SolverConfig::default()).unwrap();
-        let numeric_cfg =
-            SolverConfig { jacobian: JacobianMode::Numeric, ..SolverConfig::default() };
-        let numeric = solve_2d(&obs, scene.region(), &numeric_cfg).unwrap();
+        let config = SolverConfig::default();
+        let analytic = solve_2d(&obs, scene.region(), &config).unwrap();
+        let seeds = SolveSeeds::for_scene(scene.region(), &config, &poses);
+        let numeric = solve_2d_reference(
+            &obs,
+            &seeds,
+            &config,
+            &mut Reference2DWorkspace::numeric(),
+            None,
+        )
+        .unwrap();
         prop_assert!(analytic.position.distance(numeric.position) < 1e-9);
         prop_assert!(angle::dipole_distance(analytic.orientation, numeric.orientation) < 1e-9);
         prop_assert!((analytic.kt - numeric.kt).abs() < 1e-15);
@@ -192,8 +204,9 @@ proptest! {
     }
 }
 
-/// Pinned (non-random) convergence check, 3-D included: the analytic and
-/// numeric paths agree on a specific clean scene.
+/// Pinned (non-random) convergence check, 3-D included: the analytic
+/// solver and the central-difference oracle agree on a specific clean
+/// scene.
 #[test]
 fn pinned_analytic_numeric_agreement_3d() {
     let scene = Scene::six_antenna_3d();
@@ -205,11 +218,17 @@ fn pinned_analytic_numeric_agreement_3d() {
     let w = Vec3::new(st * cp, st * sp, ct);
     let obs =
         observations_from_truth(&poses, Vec3::new(0.6, 1.4, 0.7), w, -2.3e-8, 1.1);
-    let analytic =
-        solve_3d(&obs, scene.region(), (0.0, 1.5), &Solver3DConfig::default()).unwrap();
-    let numeric_cfg =
-        Solver3DConfig { jacobian: JacobianMode::Numeric, ..Solver3DConfig::default() };
-    let numeric = solve_3d(&obs, scene.region(), (0.0, 1.5), &numeric_cfg).unwrap();
+    let config = Solver3DConfig::default();
+    let analytic = solve_3d(&obs, scene.region(), (0.0, 1.5), &config).unwrap();
+    let seeds = Solve3DSeeds::for_scene(scene.region(), (0.0, 1.5), &config, &poses);
+    let numeric = solve_3d_reference(
+        &obs,
+        &seeds,
+        &config,
+        &mut Reference3DWorkspace::numeric(),
+        None,
+    )
+    .unwrap();
     assert!(analytic.position.distance(numeric.position) < 1e-9);
     assert!(analytic.dipole_axis_error(numeric.dipole) < 1e-9);
     assert!((analytic.kt - numeric.kt).abs() < 1e-14);

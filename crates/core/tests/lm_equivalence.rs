@@ -5,9 +5,13 @@
 //! `rfp_core::reference` bit-for-bit — same refinements, same sort
 //! orders, same warm-gate decisions, same final estimate down to the last
 //! ulp. Every configuration axis gets a pin: exhaustive vs pruned scans,
-//! analytic vs numeric Jacobians, RSSI penalty on/off, geometry tables vs direct evaluation,
-//! and warm starts both fresh (gate hit) and teleported-stale (gate miss
-//! fallback).
+//! RSSI penalty on/off, geometry tables vs direct evaluation, and warm
+//! starts both fresh (gate hit) and teleported-stale (gate miss
+//! fallback). The exhaustive preset runs the facades' one seed-beam loop
+//! with an unbounded beam, while the oracle still runs its legacy
+//! exhaustive loop, so the exhaustive pins cross both of that loop's
+//! arms (geometry tables and direct evaluation, cold and after a warm
+//! miss) against the beam.
 
 use proptest::prelude::*;
 use rfp_core::model::{extract_observation, AntennaObservation, ExtractConfig};
@@ -15,7 +19,7 @@ use rfp_core::reference::{
     solve_2d_reference, solve_3d_reference, Reference2DWorkspace, Reference3DWorkspace,
 };
 use rfp_core::solver::{
-    solve_2d_seeded_warm, solve_2d_tracking_warm, JacobianMode, SolveSeeds, SolverConfig,
+    solve_2d_seeded_warm, solve_2d_tracking_warm, PruneStats, SolveSeeds, SolverConfig,
     SolverWorkspace, TagEstimate2D, WarmGate, WarmStart,
 };
 use rfp_core::solver3d::{
@@ -129,8 +133,9 @@ fn assert_bits_3d(facade: &TagEstimate3D, oracle: &TagEstimate3D, what: &str) {
 }
 
 /// Runs facade and oracle against the same scene/config/warm input and
-/// pins the results bit-for-bit. `scene_seeds` controls whether the
-/// geometry tables are in play.
+/// pins the results bit-for-bit. `with_geometry` controls whether the
+/// geometry tables are in play. Returns the facade's seed/warm-start
+/// tallies of the solve.
 fn pin_2d(
     obs: &[AntennaObservation],
     scene: &Scene,
@@ -138,7 +143,7 @@ fn pin_2d(
     warm: Option<&WarmStart>,
     with_geometry: bool,
     what: &str,
-) {
+) -> PruneStats {
     let seeds = if with_geometry {
         SolveSeeds::for_scene(scene.region(), config, &scene.antenna_poses())
     } else {
@@ -150,6 +155,7 @@ fn pin_2d(
     let oracle =
         solve_2d_reference(obs, &seeds, config, &mut oracle_ws, warm).expect("solvable");
     assert_bits_2d(&facade, &oracle, what);
+    ws.prune_stats()
 }
 
 fn pin_3d(
@@ -159,7 +165,7 @@ fn pin_3d(
     warm: Option<&WarmStart3D>,
     with_geometry: bool,
     what: &str,
-) {
+) -> PruneStats {
     let z_range = (0.0, 1.0);
     let seeds = if with_geometry {
         Solve3DSeeds::for_scene(scene.region(), z_range, config, &scene.antenna_poses())
@@ -172,6 +178,7 @@ fn pin_3d(
     let oracle =
         solve_3d_reference(obs, &seeds, config, &mut oracle_ws, warm).expect("solvable");
     assert_bits_3d(&facade, &oracle, what);
+    ws.prune_stats()
 }
 
 fn scene_2d() -> (Scene, Vec<AntennaObservation>) {
@@ -199,11 +206,13 @@ fn exhaustive_matches_reference_2d() {
     pin_2d(&obs, &scene, &SolverConfig::exhaustive(), None, true, "exhaustive");
 }
 
+/// The legacy loop's `geometry: None` arm (direct `k_t` seeds) against
+/// the beam's direct coarse ranking.
 #[test]
-fn numeric_jacobian_matches_reference_2d() {
+fn exhaustive_table_free_seeds_match_reference_2d() {
     let (scene, obs) = scene_2d();
-    let config = SolverConfig { jacobian: JacobianMode::Numeric, ..SolverConfig::default() };
-    pin_2d(&obs, &scene, &config, None, true, "numeric Jacobian");
+    let config = SolverConfig::exhaustive();
+    pin_2d(&obs, &scene, &config, None, false, "exhaustive, no geometry tables");
 }
 
 #[test]
@@ -230,18 +239,33 @@ fn fresh_warm_start_matches_reference_2d() {
     pin_2d(&obs, &scene, &config, Some(&warm), true, "fresh warm start");
 }
 
+/// A prior parked far outside the basin: the gate must miss in both
+/// implementations and both must fall back to the identical cold scan.
+fn teleported_2d() -> WarmStart {
+    WarmStart { position: Vec2::new(-2.6, 5.4), orientation: 2.9, kt: 4.0e-8, bt: 0.3 }
+}
+
 #[test]
 fn teleported_warm_start_matches_reference_2d() {
     let (scene, obs) = scene_2d();
-    // A prior parked far outside the basin: the gate must miss in both
-    // implementations and both must fall back to the identical cold scan.
-    let stale = WarmStart {
-        position: Vec2::new(-2.6, 5.4),
-        orientation: 2.9,
-        kt: 4.0e-8,
-        bt: 0.3,
-    };
-    pin_2d(&obs, &scene, &SolverConfig::default(), Some(&stale), true, "stale warm start");
+    let stale = teleported_2d();
+    let ps = pin_2d(&obs, &scene, &SolverConfig::default(), Some(&stale), true, "stale warm");
+    assert_eq!(ps.warm_start_misses, 1, "the teleported prior must miss the gate");
+}
+
+/// A warm miss under the exhaustive preset falls through to the full
+/// scan: the beam after the floor re-anchor against the oracle's legacy
+/// loop, with and without geometry tables.
+#[test]
+fn exhaustive_teleported_warm_start_matches_reference_2d() {
+    let (scene, obs) = scene_2d();
+    let stale = teleported_2d();
+    let config = SolverConfig::exhaustive();
+    for with_geometry in [true, false] {
+        let ps = pin_2d(&obs, &scene, &config, Some(&stale), with_geometry, "exhaustive stale");
+        assert_eq!(ps.warm_start_misses, 1, "the teleported prior must miss the gate");
+        assert_eq!(ps.seeds_refined, ps.seeds_total + 1, "every seed plus the floor seed");
+    }
 }
 
 /// The twin-α disambiguation path: with only three antennas the wrapped
@@ -323,11 +347,10 @@ fn exhaustive_matches_reference_3d() {
 }
 
 #[test]
-fn numeric_jacobian_matches_reference_3d() {
+fn exhaustive_table_free_seeds_match_reference_3d() {
     let (scene, obs) = scene_3d();
-    let config =
-        Solver3DConfig { jacobian: JacobianMode::Numeric, ..Solver3DConfig::default() };
-    pin_3d(&obs, &scene, &config, None, true, "numeric Jacobian 3-D");
+    let config = Solver3DConfig::exhaustive();
+    pin_3d(&obs, &scene, &config, None, false, "exhaustive, no geometry tables 3-D");
 }
 
 #[test]
@@ -348,16 +371,34 @@ fn fresh_warm_start_matches_reference_3d() {
     pin_3d(&obs, &scene, &config, Some(&warm), true, "fresh warm start 3-D");
 }
 
-#[test]
-fn teleported_warm_start_matches_reference_3d() {
-    let (scene, obs) = scene_3d();
-    let stale = WarmStart3D {
+fn teleported_3d() -> WarmStart3D {
+    WarmStart3D {
         position: Vec3::new(-3.0, 6.0, 2.5),
         dipole: Vec3::new(0.1, -0.9, 0.2),
         kt: 5.0e-8,
         bt: 1.1,
-    };
-    pin_3d(&obs, &scene, &Solver3DConfig::default(), Some(&stale), true, "stale warm 3-D");
+    }
+}
+
+#[test]
+fn teleported_warm_start_matches_reference_3d() {
+    let (scene, obs) = scene_3d();
+    let stale = teleported_3d();
+    let config = Solver3DConfig::default();
+    let ps = pin_3d(&obs, &scene, &config, Some(&stale), true, "stale warm 3-D");
+    assert_eq!(ps.warm_start_misses, 1, "the teleported prior must miss the gate");
+}
+
+#[test]
+fn exhaustive_teleported_warm_start_matches_reference_3d() {
+    let (scene, obs) = scene_3d();
+    let stale = teleported_3d();
+    let config = Solver3DConfig::exhaustive();
+    for with_geometry in [true, false] {
+        let ps = pin_3d(&obs, &scene, &config, Some(&stale), with_geometry, "exhaustive stale 3-D");
+        assert_eq!(ps.warm_start_misses, 1, "the teleported prior must miss the gate");
+        assert_eq!(ps.seeds_refined, ps.seeds_total + 1, "every seed plus the floor seed");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -389,7 +430,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized 3-D scenes: the facade is the oracle bit-for-bit.
+    /// Randomized 3-D scenes, pruned and exhaustive scans: the facade is
+    /// the oracle bit-for-bit.
     #[test]
     fn facade_matches_reference_3d(
         x in 0.2f64..1.0,
@@ -399,10 +441,13 @@ proptest! {
         dy in -1.0f64..1.0,
         dz in 0.1f64..1.0,
         seed in 0u64..1000,
+        exhaustive in proptest::bool::ANY,
     ) {
         let Some((scene, obs)) =
             observations_3d(Vec3::new(x, y, z), Vec3::new(dx, dy, dz), seed)
         else { return Ok(()) };
-        pin_3d(&obs, &scene, &Solver3DConfig::default(), None, true, "randomized 3-D");
+        let config =
+            if exhaustive { Solver3DConfig::exhaustive() } else { Solver3DConfig::default() };
+        pin_3d(&obs, &scene, &config, None, true, "randomized 3-D");
     }
 }
